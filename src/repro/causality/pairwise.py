@@ -82,12 +82,20 @@ def extract_dependencies(
     (the ablation benchmark measures how many spurious relations this
     admits).
     """
-    series = _representative_series(frame, clusterings, interval)
     graph = DependencyGraph(components=clusterings.keys())
+    pairs = [
+        (caller, callee)
+        for caller, callee in call_graph.communicating_pairs()
+        if caller in clusterings and callee in clusterings
+    ]
+    if not pairs:
+        # A fully reused streaming window: no alignment, no ADF pass.
+        return graph
+    # All representatives, however few pairs remain: the common-length
+    # trim makes every tested input depend on every one of them.
+    series = _representative_series(frame, clusterings, interval)
 
-    for caller, callee in call_graph.communicating_pairs():
-        if caller not in clusterings or callee not in clusterings:
-            continue
+    for caller, callee in pairs:
         for m_caller in clusterings[caller].representatives:
             key_a = (caller, m_caller)
             if key_a not in series:

@@ -25,6 +25,9 @@
 
       cpu_usage{component="front"} 0.61 12.5
 
+  Samples are grouped into one run per (component, metric), each key
+  in its own line order (:func:`decode_text`), so the bus sees one
+  ``publish_points`` per series, not one per line.
   Sequencing rides the ``X-Repro-Source`` / ``X-Repro-Seq`` headers.
   Standard Prometheus clients stamp samples in *milliseconds* since
   epoch; they must send ``X-Repro-Time-Unit: ms`` so the decoder
@@ -39,7 +42,8 @@ perturbation.  :class:`SourceGate` then applies per-source sequencing
 published) so a retrying sender stops resending, remote-write style.
 Out-of-order samples *within* an accepted batch are handled by the
 bus's own per-key monotonicity guard and reported back as
-``rejected``.
+``rejected``.  Timestamps must be finite in both formats: an acked
+``inf`` would park the engine's hop schedule beyond every later sample.
 """
 
 from __future__ import annotations
@@ -104,12 +108,16 @@ class IngestRequest:
         return None if newest == float("-inf") else newest
 
 
-def _number(value: Any, what: str) -> float:
+def _number(value: Any, what: str, finite: bool = False) -> float:
+    """A non-NaN number; ``finite`` (timestamps) also refuses ``inf``,
+    which would park the hop schedule beyond every later sample."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise IngestError(f"{what} must be a number, got {value!r}")
     result = float(value)
     if math.isnan(result):
         raise IngestError(f"{what} must not be NaN")
+    if finite and math.isinf(result):
+        raise IngestError(f"{what} must be finite")
     return result
 
 
@@ -136,7 +144,7 @@ def _decode_batch(entry: Any) -> IngestBatch:
             raise IngestError("metrics must be a non-empty object")
         return IngestBatch(
             component=component,
-            time=_number(entry.get("time", 0.0), "time"),
+            time=_number(entry.get("time", 0.0), "time", finite=True),
             metrics={
                 str(name): _number(value, f"metrics[{name!r}]")
                 for name, value in metrics.items()
@@ -160,7 +168,7 @@ def _decode_batch(entry: Any) -> IngestBatch:
         return IngestBatch(
             component=component,
             metric=metric,
-            times=[_number(t, "times[]") for t in times],
+            times=[_number(t, "times[]", finite=True) for t in times],
             values=[_number(v, "values[]") for v in values],
         )
     raise IngestError(
@@ -203,12 +211,11 @@ def decode_json(body: bytes) -> IngestRequest:
     )
 
 
-#: ``name{labels} value [timestamp]`` -- the exposition sample line.
-_SAMPLE_RE = re.compile(
-    r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
+#: ``name{labels}`` -- the series header of an exposition sample line
+#: (what is left once ``value timestamp`` are split off the right).
+_HEADER_RE = re.compile(
+    r"(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
     r"(?:\{(?P<labels>[^}]*)\})?"
-    r"\s+(?P<value>\S+)"
-    r"(?:\s+(?P<timestamp>\S+))?\s*$"
 )
 
 _LABEL_RE = re.compile(
@@ -229,15 +236,55 @@ def _parse_labels(text: str) -> dict[str, str]:
     return labels
 
 
+def _series_key(header: str, lineno: int) -> tuple[str, str]:
+    """``(component, metric)`` of one ``name{labels}`` series header."""
+    match = _HEADER_RE.fullmatch(header)
+    if match is None:
+        raise IngestError(f"line {lineno}: invalid sample {header!r}")
+    labels = _parse_labels(match.group("labels") or "")
+    component = labels.pop("component", "")
+    if not component:
+        raise IngestError(f"line {lineno}: missing component label")
+    metric = match.group("name")
+    if labels:
+        rendered = ",".join(
+            f'{name}="{labels[name]}"' for name in sorted(labels)
+        )
+        metric = f"{metric}{{{rendered}}}"
+    return component, metric
+
+
+@dataclass
+class _Series:
+    """Decode-time state of one (component, metric) key in a request."""
+
+    component: str
+    metric: str
+    newest: float = float("-inf")
+    run: IngestBatch | None = None
+
+
 def decode_text(body: bytes, source: str = "",
                 seq: int | None = None) -> IngestRequest:
     """Decode a Prometheus-text-exposition ingest payload.
 
-    Each sample line becomes one single-point batch for the component
-    named by its ``component`` label; labels beyond ``component`` are
-    folded into the metric name deterministically so distinct label
-    sets stay distinct series.  Timestamps are seconds (the engine's
-    time axis) -- Prometheus-native millisecond stamps need the
+    Samples are grouped into per-series runs: each line is split from
+    the right into ``header value timestamp``, the ``name{labels}``
+    header is validated once per distinct spelling, and the sample
+    joins the open run of the component named by its ``component``
+    label; labels beyond ``component`` are folded into the metric name
+    deterministically so distinct label sets stay distinct series.  A
+    scrape-major body of S series x N scrapes decodes to S runs of N
+    points -- the shape the JSON point-run path delivers.
+
+    Each key keeps its line order exactly: a sample older than the
+    newest one its series has carried in this request closes that run
+    and becomes its own one-point batch (the next in-order sample
+    opens a new run), so the bus rejects, clips and accepts the very
+    samples it would have, had every line been published on its own.
+
+    Timestamps are seconds (the engine's time axis) and must be finite
+    -- Prometheus-native millisecond stamps need the
     ``X-Repro-Time-Unit: ms`` header, applied by
     :func:`decode_payload`; a line without a timestamp is rejected --
     the engine has no wall clock to substitute.
@@ -247,47 +294,54 @@ def decode_text(body: bytes, source: str = "",
     except UnicodeDecodeError as exc:
         raise IngestError(f"payload is not UTF-8: {exc}") from None
     batches: list[IngestBatch] = []
+    by_header: dict[str, _Series] = {}
+    by_key: dict[tuple[str, str], _Series] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        match = _SAMPLE_RE.match(line)
-        if match is None:
-            raise IngestError(f"line {lineno}: invalid sample {line!r}")
-        labels = _parse_labels(match.group("labels") or "")
-        component = labels.pop("component", "")
-        if not component:
+        parts = line.rsplit(None, 2)
+        if len(parts) != 3:
             raise IngestError(
-                f"line {lineno}: missing component label"
+                f"line {lineno}: expected 'name{{labels}} value "
+                f"timestamp', got {line!r}"
             )
-        metric = match.group("name")
-        if labels:
-            rendered = ",".join(
-                f'{name}="{labels[name]}"' for name in sorted(labels)
-            )
-            metric = f"{metric}{{{rendered}}}"
+        header, value_text, time_text = parts
         try:
-            value = float(match.group("value"))
+            value, time = float(value_text), float(time_text)
         except ValueError:
             raise IngestError(
-                f"line {lineno}: invalid value "
-                f"{match.group('value')!r}"
+                f"line {lineno}: invalid value or timestamp in {line!r}"
             ) from None
-        timestamp = match.group("timestamp")
-        if timestamp is None:
-            raise IngestError(f"line {lineno}: missing timestamp")
-        try:
-            time = float(timestamp)
-        except ValueError:
+        if math.isnan(value) or not math.isfinite(time):
             raise IngestError(
-                f"line {lineno}: invalid timestamp {timestamp!r}"
-            ) from None
-        if math.isnan(value) or math.isnan(time):
-            raise IngestError(f"line {lineno}: NaN sample")
-        batches.append(IngestBatch(
-            component=component, metric=metric,
-            times=[time], values=[value],
-        ))
+                f"line {lineno}: NaN sample or non-finite timestamp"
+            )
+        series = by_header.get(header)
+        if series is None:
+            # Distinct spellings of one label set share one state, or
+            # the key's line order would be lost across them.
+            key = _series_key(header, lineno)
+            series = by_key.get(key)
+            if series is None:
+                series = by_key[key] = _Series(*key)
+            by_header[header] = series
+        if time < series.newest:
+            series.run = None
+            batches.append(IngestBatch(
+                component=series.component, metric=series.metric,
+                times=[time], values=[value],
+            ))
+            continue
+        series.newest = time
+        run = series.run
+        if run is None:
+            run = series.run = IngestBatch(
+                component=series.component, metric=series.metric,
+            )
+            batches.append(run)
+        run.times.append(time)
+        run.values.append(value)
     if not batches:
         raise IngestError("payload holds no samples")
     if seq is not None and not source:

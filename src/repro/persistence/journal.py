@@ -125,12 +125,12 @@ class IngestJournal:
     def append_batch(self, component: str, metric: str,
                      times, values) -> None:
         """Log one flushed batch (called by the bus ahead of delivery)."""
-        t = np.asarray(times).reshape(-1)
+        t = np.asarray(times, dtype=float).reshape(-1)
         record = {
             "c": component,
             "m": metric,
-            "t": [float(x) for x in t],
-            "v": [float(x) for x in np.asarray(values).reshape(-1)],
+            "t": t.tolist(),
+            "v": np.asarray(values, dtype=float).reshape(-1).tolist(),
         }
         self._fh.write(json.dumps(record, separators=(",", ":")) + "\n")
         self.records_written += 1

@@ -257,7 +257,12 @@ class IngestionBus:
 
     def publish_points(self, component: str, metric: str,
                        times, values) -> None:
-        """Accept a pre-batched run of points for one metric."""
+        """Accept a pre-batched run of points for one metric.
+
+        A run that is out of order within itself is rejected whole; an
+        ordered run that starts behind the key's guard loses exactly
+        its late head -- what publishing it point by point would
+        reject -- and the in-order tail is taken."""
         t = np.asarray(times, dtype=float).reshape(-1)
         v = np.asarray(values, dtype=float).reshape(-1)
         if t.size != v.size:
@@ -270,9 +275,15 @@ class IngestionBus:
         if t.size == 0:
             return
         buffer = self._buffer(component, metric)
-        if np.any(np.diff(t) < 0) or t[0] < buffer.last_time:
+        if np.any(np.diff(t) < 0):
             self.stats.rejected_points += int(t.size)
             return
+        if t[0] < buffer.last_time:
+            late = int(np.searchsorted(t, buffer.last_time))
+            self.stats.rejected_points += late
+            t, v = t[late:], v[late:]
+            if t.size == 0:
+                return
         buffer.times.extend(t.tolist())
         buffer.values.extend(v.tolist())
         buffer.last_time = float(t[-1])

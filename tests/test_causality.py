@@ -202,6 +202,26 @@ class TestExtractDependencies:
         graph = extract_dependencies(frame, empty_graph, clusterings)
         assert len(graph) == 0
 
+    def test_nothing_to_test_skips_series_preparation(self, monkeypatch):
+        # A fully reused streaming window hands over a call graph whose
+        # pairs were all restricted away: the alignment + ADF pass over
+        # every representative must not run for an empty answer.
+        from repro.causality import pairwise
+
+        frame = _coupled_frame()
+        clusterings = reduce_frame(frame, seed=0)
+        elsewhere = CallGraph()
+        elsewhere.record_call("front", "cache", 100)  # one end unknown
+
+        def unexpected(*_args, **_kwargs):
+            raise AssertionError("prepared series with nothing to test")
+
+        monkeypatch.setattr(pairwise, "_representative_series", unexpected)
+        for call_graph in (CallGraph(), elsewhere):
+            graph = extract_dependencies(frame, call_graph, clusterings)
+            assert len(graph) == 0
+            assert set(graph.components) == {"front", "back"}
+
     def test_bidirectional_filter_reduces_relations(self):
         frame = _coupled_frame()
         call_graph = CallGraph()

@@ -290,6 +290,33 @@ class TestIngestJournal:
         assert rv.tolist() == v.tolist()
         assert journal_record_count(path) == 2
 
+    def test_record_bytes_are_pinned(self, tmp_path):
+        # The on-disk line format is the resume contract: floats (and
+        # ints, float32s, lists) are written as repr(float(x)), with
+        # the shortest separators and one record per line.
+        path = tmp_path / "ingest.journal"
+        journal = IngestJournal(path)
+        t = np.array([1.0, 1.5 + 1e-13, 2.0, 1e22, 5e-324])
+        v = np.array([0.1, np.pi, -3.7e-9, np.inf, -0.0])
+        journal.append_batch("web", "cpu", t, v)
+        journal.append_batch("db", 'io{dev="sda"}', [3, 4], (4, 5.5))
+        journal.append_batch("db", "mem", np.float32([0.1]),
+                             np.arange(1))
+        journal.close()
+        expected = "".join(
+            json.dumps({"c": c, "m": m,
+                        "t": [float(x) for x in times],
+                        "v": [float(x) for x in values]},
+                       separators=(",", ":")) + "\n"
+            for c, m, times, values in [
+                ("web", "cpu", t, v),
+                ("db", 'io{dev="sda"}', [3, 4], (4, 5.5)),
+                ("db", "mem", np.float32([0.1]), np.arange(1)),
+            ]
+        )
+        assert path.read_bytes() == expected.encode("utf-8")
+        assert '"t":[3.0,4.0],"v":[4.0,5.5]' in expected
+
     def test_torn_tail_is_skipped(self, tmp_path):
         path = tmp_path / "ingest.journal"
         journal = IngestJournal(path)

@@ -502,6 +502,42 @@ class TestServeSession:
         finally:
             session.close()
 
+    @pytest.mark.parametrize("poison, content_type", [
+        (b'zz{component="back"} 1.0 +Inf\n', "text/plain"),
+        (b'[{"component":"back","metric":"zz","times":[Infinity],'
+         b'"values":[1.0]}]', "application/json"),
+    ])
+    def test_infinite_timestamp_cannot_freeze_the_schedule(
+            self, poison, content_type):
+        # An acked time of +Inf used to park the hop schedule (and the
+        # key's ordering guard) at infinity: no window ever closed
+        # again, however much finite data followed.
+        session = _serve_session()
+        try:
+            engine = session.engine
+            step = _push(session, 45)
+            windows = engine.stats.windows
+            assert windows >= 1
+            before = (engine.bus.stats.points_published,
+                      engine.bus.pending_points,
+                      engine.windows.total_points())
+            status, _h, body = _post(session.url + "/ingest", poison,
+                                     content_type)
+            assert status == 400 and "error" in body
+            assert before == (engine.bus.stats.points_published,
+                              engine.bus.pending_points,
+                              engine.windows.total_points())
+            _push(session, 20, start_step=step)  # two healthy hops on
+            assert engine.stats.windows > windows
+            status, _h, body = _post(
+                session.url + "/ingest",
+                f'zz{{component="back"}} 1.0 {step * 0.5}\n'.encode(),
+                content_type="text/plain",
+            )
+            assert status == 200 and body["accepted"] == 1
+        finally:
+            session.close()
+
     def test_backpressure_returns_429_when_the_bus_sheds(self):
         # Wall clock + no poller running: nothing drains the bus, so
         # a tiny max_pending fills and the service must signal 429.

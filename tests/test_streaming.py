@@ -194,6 +194,25 @@ class TestIngestionBus:
         assert bus.stats.rejected_points == 2
         assert bus.pending_points == 0
 
+    def test_ordered_run_behind_the_guard_loses_only_its_late_head(self):
+        # Point by point, 1.0 and 1.5 would be rejected and the rest
+        # taken (equal timestamps are in order); a run is no different.
+        bus = IngestionBus()
+        store = WindowStore()
+        bus.subscribe(store)
+        bus.publish_points("web", "cpu", [1.0, 2.0], [0.0, 0.0])
+        bus.publish_points("web", "cpu", [1.0, 1.5, 2.0, 2.5],
+                           [1.0, 2.0, 3.0, 4.0])
+        assert bus.stats.rejected_points == 2
+        assert bus.stats.points_published == 4
+        bus.publish_points("web", "cpu", [0.5, 1.0], [9.0, 9.0])
+        assert bus.stats.rejected_points == 4  # nothing in order left
+        assert bus.stats.batches_published == 2
+        bus.flush()
+        ring = store.series("web", "cpu")
+        assert ring.times.tolist() == [1.0, 2.0, 2.0, 2.5]
+        assert ring.values.tolist() == [0.0, 0.0, 3.0, 4.0]
+
     def test_failing_subscriber_does_not_drop_other_buffers(self):
         bus = IngestionBus()
 
