@@ -36,7 +36,13 @@ from repro.api.registry import (
     EXECUTORS,
     WORKLOADS,
 )
-from repro.api.spec import ConsumerSpec, RunSpec, WorkloadSpec
+from repro.api.spec import (
+    ConsumerSpec,
+    RunSpec,
+    ServiceSpec,
+    TelemetrySpec,
+    WorkloadSpec,
+)
 
 #: Checkpoint keys revalidated against the current spec on resume.
 _RESUME_KEYS = ("app", "seed")
@@ -427,18 +433,33 @@ class _EngineSession(Session):
             )
             raise ValueError(f"resume spec mismatch -- {details}")
 
+    def _serve_telemetry(self) -> Any:
+        """Bind the HTTP server on ``telemetry.host:port`` when that
+        port is set, else on the service's (the two share a listener).
+        A bind failure releases everything the constructor opened."""
+        spec = self.spec
+        bind: TelemetrySpec | ServiceSpec = spec.telemetry \
+            if spec.telemetry.port > 0 else spec.service
+        try:
+            return self.telemetry.serve(bind.port, host=bind.host)
+        except OSError as exc:
+            self.close()
+            raise OSError(exc.errno, f"cannot serve on {bind.host}:"
+                          f"{bind.port}: {exc.strerror}") from exc
+
     def _close_impl(self) -> None:
         self._engine.close()
-        if self.journal is not None:
-            # A serve session may be closed without run() ever
-            # returning (signal handlers, tests): the journal tail
-            # must still reach the OS or a resume would lose it.
-            self.journal.commit()
         if self.backend is not None:
             # Drain the (possibly asynchronous) writer even on an
             # interrupted run -- queued batches must reach disk.
             self.backend.close()
+        # Stop the server before the journal: no request can reach
+        # the bus (and append) once it is down.
         self.telemetry.close()
+        if self.journal is not None:
+            # close() commits: the tail reaches the OS for a later
+            # resume even when run() never returned (signals, tests).
+            self.journal.close()
 
 
 class StreamSession(_EngineSession):
@@ -459,12 +480,8 @@ class StreamSession(_EngineSession):
         # The co-simulation driver owns the bus, so an attached
         # service exposes the query surface only (ingest answers 409).
         self._attach_service(spec, ingest_enabled=False)
-        if spec.telemetry.port > 0:
-            self.telemetry.serve(spec.telemetry.port,
-                                 host=spec.telemetry.host)
-        elif self.service is not None:
-            self.telemetry.serve(spec.service.port,
-                                 host=spec.service.host)
+        if spec.telemetry.port > 0 or self.service is not None:
+            self._serve_telemetry()
 
     def remaining(self) -> float:
         """Simulated seconds :meth:`run` will actually stream.
@@ -513,14 +530,6 @@ class StreamSession(_EngineSession):
                 )
         return outcome
 
-    def _close_impl(self) -> None:
-        self.driver.engine.close()
-        if self.backend is not None:
-            # Drain the (possibly asynchronous) writer even on an
-            # interrupted run -- queued batches must reach disk.
-            self.backend.close()
-        self.telemetry.close()
-
 
 # -- serve -----------------------------------------------------------------
 
@@ -566,11 +575,7 @@ class ServeSession(_EngineSession):
         self._attach_service(spec, ingest_enabled=True)
         self._stop = threading.Event()
         self._poller: Any = None
-        port = spec.telemetry.port if spec.telemetry.port > 0 \
-            else spec.service.port
-        host = spec.telemetry.host if spec.telemetry.port > 0 \
-            else spec.service.host
-        self.server = self.telemetry.serve(port, host=host)
+        self.server = self._serve_telemetry()
 
     @property
     def url(self) -> str:
@@ -998,8 +1003,6 @@ class PipelineBuilder:
         Extra ``fields`` map onto :class:`~repro.api.spec.TelemetrySpec`
         (``host``, ``span_history``, ``exporters``, ``options``).
         """
-        from repro.api.spec import TelemetrySpec
-
         self._fields["telemetry"] = TelemetrySpec(
             enabled=bool(enabled), port=int(port), **fields,
         )
@@ -1014,8 +1017,6 @@ class PipelineBuilder:
         (``host``, ``clock``, ``poll_interval``, ``event_history``,
         ``view_history``, ``topology``, ``options``).
         """
-        from repro.api.spec import ServiceSpec
-
         self._fields["service"] = ServiceSpec(
             enabled=bool(enabled), port=int(port), **fields,
         )

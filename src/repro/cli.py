@@ -27,6 +27,16 @@ Subcommands mirror the paper's workflows:
 * ``spec`` -- emit the fully resolved spec of any invocation, for
   reproducibility: re-feeding it via ``--spec`` reproduces the run
   bit-identically.
+
+Every run-mode flag is a row of one table (``_FLAGS``) that names the
+:class:`RunSpec` field it sets; its type and default are the spec's,
+never restated here.  Flags are registered with
+``default=argparse.SUPPRESS`` so one parse tells typed flags from
+untyped ones -- which is what lets a ``--spec`` file be overridden by
+exactly the flags on the command line.  The few places where a bare
+subcommand deliberately differs from ``RunSpec()`` (``serve`` labels
+its run ``http``, ``stream``/``serve`` checkpoint every window, ...)
+are listed once, in ``_CLI_DEFAULTS``.
 """
 
 from __future__ import annotations
@@ -46,62 +56,235 @@ from repro.api import (
     spec_to_json,
     spec_to_toml,
 )
-from repro.api.spec import RUN_MODES
+from repro.api.spec import RUN_MODES, SERVICE_CLOCKS
 
 
-# -- flag registration -----------------------------------------------------
+# -- the flag table ---------------------------------------------------------
 #
-# Each _add_* helper registers one flag group; ``suppress=True`` builds
-# the shadow parser whose namespace contains *only* explicitly passed
-# flags (argparse.SUPPRESS defaults), which is how spec-file overriding
-# knows which flags the user actually typed.
+# One row per flag: (flag, RunSpec path, help[, metavar | choices]).
+# A string fourth element is the metavar; a registry or a sequence is
+# the choice list (registries are read when the parser is built, so
+# plugins registered after import are reachable).  Everything else is
+# derived: the dest from the flag name, the value type and
+# ``store_true``-ness from the ``RunSpec()`` default found at the path
+# (``extra.*`` knobs: from the mode's entry in ``_CLI_DEFAULTS``).
+#
+# No row states a default.  Every flag is registered with
+# ``default=argparse.SUPPRESS``, so the parsed namespace holds exactly
+# the flags the user typed; :func:`_spec_from_args` writes those over
+# the base spec (a ``--spec`` file, or the RunSpec defaults with the
+# mode's ``_CLI_DEFAULTS`` applied) and the spec supplies the rest.
+# Adding a flag is one row here plus its name in the ``_MODE_FLAGS``
+# tuples of the modes that take it.
+
+_FLAGS: dict[str, tuple] = {row[0]: row for row in (
+    ("--app", "app",
+     "application model to run (serve mode has no simulator, so there "
+     "it is a free-form run label recorded on every analysis)",
+     APPLICATIONS),
+    ("--seed", "seed", None),
+    ("--duration", "duration", "simulated seconds of load"),
+    ("--snapshot", "snapshot",
+     "write the analysis snapshot as JSON", "PATH"),
+    ("--workload", "workload.kind", None, WORKLOADS),
+    ("--rate", "workload.rate",
+     "request rate of rate-shaped workloads"),
+    ("--compare", "compare",
+     "also run the batch analysis and report streaming-vs-batch "
+     "convergence"),
+    ("--executor", "streaming.executor",
+     "where per-component analysis shards run (process = true "
+     "parallelism, shm = process with zero-copy shared-memory windows; "
+     "identical results to serial on the same seed; record runs no "
+     "analysis, so there it only matters to scripts sharing flags "
+     "with stream/replay)", EXECUTORS),
+    ("--workers", "streaming.executor_workers",
+     "pool size for thread/process/shm executors "
+     "(0 = all cores; 1 falls back to serial)", "N"),
+    # analysis windows
+    ("--window", "streaming.window", "analysis window span, seconds"),
+    ("--hop", "streaming.hop", "analysis cadence, seconds"),
+    ("--retention", "streaming.retention",
+     "ring-buffer retention, seconds"),
+    ("--adaptive-hop", "streaming.adaptive_hop",
+     "scale the analysis cadence with drift pressure (quiet systems "
+     "analyze less often), bounded by --hop-min/--hop-max"),
+    ("--hop-min", "streaming.hop_min",
+     "lower bound of the adaptive cadence (0 = --hop)"),
+    ("--hop-max", "streaming.hop_max",
+     "upper bound of the adaptive cadence (0 = 4x --hop)"),
+    # persistence
+    ("--journal", "journal",
+     "write-ahead ingest journal (makes the run replayable after a "
+     "crash)", "PATH"),
+    ("--checkpoint", "checkpoint",
+     "checkpoint analysis state to PATH", "PATH"),
+    ("--checkpoint-every", "streaming.checkpoint_every_windows",
+     "checkpoint every N analyzed windows", "N"),
+    ("--resume", "resume",
+     "restore state from --checkpoint (and replay --journal) before "
+     "streaming"),
+    ("--store", "storage.path",
+     "write ingested samples through to a durable store backend at "
+     "PATH", "PATH"),
+    ("--store-backend", "storage.kind",
+     "backend kind behind --store", BACKENDS),
+    ("--store-retention", "storage.retention",
+     "compaction horizon of --compact / Session.compact(), seconds "
+     "(0 keeps everything)"),
+    ("--store-schedule", "storage.schedule",
+     "tiered-retention schedule applied by --compact, e.g. "
+     "'1000s:full,4000s:1m,inf:10m' (full resolution for the newest "
+     "1000s, then mean/min/max/count rollups; empty = full resolution "
+     "everywhere)", "SCHEDULE"),
+    ("--writer", "streaming.writer",
+     "drive the durable backend inline (sync) or through a batching "
+     "writer thread (async) so ingest never blocks on durable writes",
+     ("sync", "async")),
+    # record / replay name the same storage target differently
+    ("--backend", "storage.kind", None, BACKENDS),
+    ("--out", "storage.path",
+     "sqlite database file or spill directory", "PATH"),
+    ("--path", "storage.path",
+     "recorded sqlite file or spill directory", "PATH"),
+    # self-telemetry
+    ("--telemetry", "telemetry.enabled",
+     "collect self-telemetry (metrics + per-window phase spans); "
+     "merged into the end-of-run summary"),
+    ("--telemetry-port", "telemetry.port",
+     "serve /metrics (Prometheus), /metrics.json, /traces and /healthz "
+     "on PORT while streaming (implies --telemetry)", "PORT"),
+    ("--telemetry-host", "telemetry.host",
+     "bind address of --telemetry-port", "HOST"),
+    # the operations service
+    ("--port", "service.port",
+     "serve /ingest, /api/... and /metrics on PORT (0 = ephemeral; "
+     "printed at startup)", "PORT"),
+    ("--host", "service.host", "bind address of --port", "HOST"),
+    ("--clock", "service.clock",
+     "schedule analysis hops off ingest watermarks (deterministic) or "
+     "the wall clock (a poller thread)", SERVICE_CLOCKS),
+    ("--poll-interval", "service.poll_interval",
+     "wall seconds between analysis offers for --clock wall "
+     "(0 = --hop)"),
+    ("--event-history", "service.event_history",
+     "operational events retained behind /api/events", "N"),
+    ("--topology", "service.topology",
+     "declare one static deployment edge (repeatable); HTTP ingest has "
+     "no tracer to observe calls", "CALLER:CALLEE[:COUNT]"),
+    # case-study knobs (RunSpec.extra)
+    ("--iterations", "extra.iterations",
+     "Rally boot_and_delete iterations"),
+    ("--threshold", "extra.threshold", None, (0.0, 0.5, 0.6, 0.7)),
+    ("--requests", "extra.requests", None),
+    # The one flag with no spec path: it paces cmd_stream's printing,
+    # not the run, so it is parsed (an integer) and never written.
+    ("--progress", None,
+     "print a backpressure progress line (bus shedding + writer "
+     "queue) every N windows (0 = off)", "N"),
+)}
+
+_COMMON = ("--seed", "--duration")
+_PARALLEL = ("--executor", "--workers")
+_WORKLOAD = ("--workload", "--rate")
+_WINDOW = ("--window", "--hop", "--retention", "--adaptive-hop",
+           "--hop-min", "--hop-max")
+_PERSISTENCE = ("--journal", "--checkpoint", "--checkpoint-every",
+                "--resume", "--store", "--store-backend",
+                "--store-retention", "--store-schedule", "--writer")
+_TELEMETRY = ("--telemetry", "--telemetry-port", "--telemetry-host")
+
+#: The flags of each mode, in ``--help`` order.
+_MODE_FLAGS: dict[str, tuple[str, ...]] = {
+    "pipeline": ("--app", "--snapshot", *_COMMON),
+    "stream": ("--app", *_WINDOW, *_WORKLOAD, "--compare",
+               *_PERSISTENCE, *_TELEMETRY, "--progress", *_PARALLEL,
+               *_COMMON),
+    "serve": ("--app", "--port", "--host", "--clock", "--poll-interval",
+              "--event-history", "--topology", *_WINDOW, *_PERSISTENCE,
+              *_TELEMETRY, *_PARALLEL, *_COMMON),
+    "record": ("--app", "--backend", "--out", *_WORKLOAD,
+               "--store-retention", "--store-schedule", "--writer",
+               *_PARALLEL, *_COMMON),
+    "replay": ("--backend", "--path", "--seed", *_PARALLEL),
+    "rca": ("--iterations", "--threshold", *_COMMON),
+    "trace-overhead": ("--requests", "--seed"),
+    "catalog": ("--app",),
+}
+
+#: The only places where a bare subcommand resolves to something other
+#: than ``RunSpec``'s own defaults.
+_CLI_DEFAULTS: dict[str, dict] = {
+    # A streamed run given --checkpoint/--store means them: checkpoint
+    # every window, store in sqlite (storage stays off without a path).
+    "stream": {"streaming": {"checkpoint_every_windows": 1},
+               "storage": {"kind": "sqlite"}},
+    # The subcommand *is* the request for the operations surface (a
+    # --spec file that explicitly disables it still errors out).
+    "serve": {"app": "http",
+              "streaming": {"checkpoint_every_windows": 1},
+              "storage": {"kind": "sqlite"},
+              "service": {"enabled": True}},
+    "record": {"storage": {"kind": "sqlite"}},
+    "replay": {"storage": {"kind": "sqlite"}},
+    # The RCA case study is defined on the OpenStack model.
+    "rca": {"app": "openstack",
+            "extra": {"iterations": 15, "threshold": 0.5}},
+    "trace-overhead": {"extra": {"requests": 10_000}},
+}
 
 
-def _dflt(suppress: bool, value: Any) -> Any:
-    return argparse.SUPPRESS if suppress else value
+def _merge(base: dict, overrides: dict) -> dict:
+    """Recursively overlay ``overrides`` onto ``base`` (in place)."""
+    for key, value in overrides.items():
+        if isinstance(value, dict) and isinstance(base.get(key), dict):
+            _merge(base[key], value)
+        else:
+            base[key] = value
+    return base
 
 
-def _add_common(parser, suppress: bool = False) -> None:
-    parser.add_argument("--seed", type=int,
-                        default=_dflt(suppress, 1))
-    parser.add_argument("--duration", type=float,
-                        default=_dflt(suppress, 120.0),
-                        help="simulated seconds of load")
+def _mode_defaults(mode: str) -> dict:
+    """What a bare ``repro <mode>`` resolves to, as a spec dict."""
+    return _merge(RunSpec().to_dict(),
+                  {"mode": mode, **_CLI_DEFAULTS.get(mode, {})})
+
+
+def _at(data: dict, path: str) -> Any:
+    """The value at a dotted ``path`` of a nested dict."""
+    for key in path.split("."):
+        data = data[key]
+    return data
+
+
+def _add_flags(parser: argparse.ArgumentParser, mode: str) -> None:
+    """Register ``mode``'s rows of the flag table on ``parser``."""
+    defaults = _mode_defaults(mode)
+    for flag in _MODE_FLAGS[mode]:
+        _, path, help_, *shape = _FLAGS[flag]
+        default = _at(defaults, path) if path else 0
+        kwargs: dict[str, Any] = {"default": argparse.SUPPRESS,
+                                  "help": help_}
+        if isinstance(default, bool):
+            kwargs["action"] = "store_true"
+        elif isinstance(default, list):
+            kwargs["action"] = "append"
+        elif not isinstance(default, str):
+            kwargs["type"] = type(default)
+        if shape and isinstance(shape[0], str):
+            kwargs["metavar"] = shape[0]
+        elif shape and not (flag == "--app" and mode == "serve"):
+            # (serve's --app is a label, not a registered model.)
+            choices = shape[0]
+            kwargs["choices"] = choices.names() \
+                if hasattr(choices, "names") else choices
+        parser.add_argument(flag, **kwargs)
 
 
 def _add_spec_file(parser) -> None:
     parser.add_argument("--spec", metavar="PATH",
                         help="load a RunSpec file (.toml or .json); "
                              "explicitly passed flags override it")
-
-
-def _add_app(parser, suppress: bool = False) -> None:
-    parser.add_argument("--app", choices=APPLICATIONS.names(),
-                        default=_dflt(suppress, "sharelatex"))
-
-
-def _add_workload(parser, suppress: bool = False) -> None:
-    parser.add_argument("--workload", choices=WORKLOADS.names(),
-                        default=_dflt(suppress, "random"))
-    parser.add_argument("--rate", type=float,
-                        default=_dflt(suppress, 25.0),
-                        help="request rate of rate-shaped workloads")
-
-
-def _add_parallel(parser, suppress: bool = False,
-                  note: str = "") -> None:
-    parser.add_argument("--executor", choices=EXECUTORS.names(),
-                        default=_dflt(suppress, "serial"),
-                        help="where per-component analysis shards run "
-                             "(process = true parallelism, shm = "
-                             "process with zero-copy shared-memory "
-                             "windows; identical results to serial on "
-                             "the same seed)" + note)
-    parser.add_argument("--workers", type=int,
-                        default=_dflt(suppress, 0), metavar="N",
-                        help="pool size for thread/process/shm "
-                             "executors "
-                             "(0 = all cores; 1 falls back to serial)")
 
 
 def _add_compact(parser) -> None:
@@ -111,226 +294,6 @@ def _add_compact(parser) -> None:
                              "(merge small spill segments / VACUUM "
                              "sqlite, dropping samples past the "
                              "--store-retention horizon)")
-
-
-def _add_window_flags(parser, suppress: bool = False) -> None:
-    parser.add_argument("--window", type=float,
-                        default=_dflt(suppress, 20.0),
-                        help="analysis window span, seconds")
-    parser.add_argument("--hop", type=float,
-                        default=_dflt(suppress, 10.0),
-                        help="analysis cadence, seconds")
-    parser.add_argument("--retention", type=float,
-                        default=_dflt(suppress, 120.0),
-                        help="ring-buffer retention, seconds")
-    parser.add_argument("--adaptive-hop", action="store_true",
-                        default=_dflt(suppress, False),
-                        help="scale the analysis cadence with drift "
-                             "pressure (quiet systems analyze less "
-                             "often), bounded by --hop-min/--hop-max")
-    parser.add_argument("--hop-min", type=float,
-                        default=_dflt(suppress, 0.0),
-                        help="lower bound of the adaptive cadence "
-                             "(0 = --hop)")
-    parser.add_argument("--hop-max", type=float,
-                        default=_dflt(suppress, 0.0),
-                        help="upper bound of the adaptive cadence "
-                             "(0 = 4x --hop)")
-
-
-def _add_persistence_flags(parser, suppress: bool = False) -> None:
-    parser.add_argument("--journal", metavar="PATH",
-                        default=_dflt(suppress, ""),
-                        help="write-ahead ingest journal (makes the "
-                             "run replayable after a crash)")
-    parser.add_argument("--checkpoint", metavar="PATH",
-                        default=_dflt(suppress, ""),
-                        help="checkpoint analysis state to PATH")
-    parser.add_argument("--checkpoint-every", type=int,
-                        default=_dflt(suppress, 1), metavar="N",
-                        help="checkpoint every N analyzed windows")
-    parser.add_argument("--resume", action="store_true",
-                        default=_dflt(suppress, False),
-                        help="restore state from --checkpoint (and "
-                             "replay --journal) before streaming")
-    parser.add_argument("--store", metavar="PATH",
-                        default=_dflt(suppress, ""),
-                        help="write ingested samples through to a "
-                             "durable store backend at PATH")
-    parser.add_argument("--store-backend", choices=BACKENDS.names(),
-                        default=_dflt(suppress, "sqlite"),
-                        help="backend kind behind --store")
-    parser.add_argument("--store-retention", type=float,
-                        default=_dflt(suppress, 0.0),
-                        help="compaction horizon of --compact / "
-                             "Session.compact(), seconds "
-                             "(0 keeps everything)")
-    parser.add_argument("--store-schedule", metavar="SCHEDULE",
-                        default=_dflt(suppress, ""),
-                        help="tiered-retention schedule applied by "
-                             "--compact, e.g. "
-                             "'1000s:full,4000s:1m,inf:10m' (full "
-                             "resolution for the newest 1000s, then "
-                             "mean/min/max/count rollups; empty = "
-                             "full resolution everywhere)")
-    parser.add_argument("--writer", choices=("sync", "async"),
-                        default=_dflt(suppress, "sync"),
-                        help="drive the --store backend inline "
-                             "(sync) or through a batching writer "
-                             "thread (async) so ingest never blocks "
-                             "on durable writes")
-
-
-def _add_telemetry_flags(parser, suppress: bool = False) -> None:
-    parser.add_argument("--telemetry", action="store_true",
-                        default=_dflt(suppress, False),
-                        help="collect self-telemetry (metrics + "
-                             "per-window phase spans); merged into "
-                             "the end-of-run summary")
-    parser.add_argument("--telemetry-port", type=int,
-                        default=_dflt(suppress, 0), metavar="PORT",
-                        help="serve /metrics (Prometheus), "
-                             "/metrics.json, /traces and /healthz on "
-                             "PORT while streaming (implies "
-                             "--telemetry)")
-    parser.add_argument("--telemetry-host", metavar="HOST",
-                        default=_dflt(suppress, "127.0.0.1"),
-                        help="bind address of --telemetry-port")
-
-
-def _add_stream_flags(parser, suppress: bool = False) -> None:
-    _add_app(parser, suppress)
-    _add_window_flags(parser, suppress)
-    _add_workload(parser, suppress)
-    parser.add_argument("--compare", action="store_true",
-                        default=_dflt(suppress, False),
-                        help="also run the batch analysis and report "
-                             "streaming-vs-batch convergence")
-    _add_persistence_flags(parser, suppress)
-    _add_telemetry_flags(parser, suppress)
-    parser.add_argument("--progress", type=int, default=0,
-                        metavar="N",
-                        help="print a backpressure progress line "
-                             "(bus shedding + writer queue) every N "
-                             "windows (0 = off)")
-    _add_parallel(parser, suppress)
-    _add_common(parser, suppress)
-
-
-def _add_serve_flags(parser, suppress: bool = False) -> None:
-    parser.add_argument("--app", default=_dflt(suppress, "http"),
-                        help="run label recorded on every analysis "
-                             "(serve mode has no simulator, so any "
-                             "name is accepted)")
-    parser.add_argument("--port", type=int,
-                        default=_dflt(suppress, 0), metavar="PORT",
-                        help="serve /ingest, /api/... and /metrics "
-                             "on PORT (0 = ephemeral; printed at "
-                             "startup)")
-    parser.add_argument("--host", metavar="HOST",
-                        default=_dflt(suppress, "127.0.0.1"),
-                        help="bind address of --port")
-    parser.add_argument("--clock", choices=("ingest", "wall"),
-                        default=_dflt(suppress, "ingest"),
-                        help="schedule analysis hops off ingest "
-                             "watermarks (deterministic) or the wall "
-                             "clock (a poller thread)")
-    parser.add_argument("--poll-interval", type=float,
-                        default=_dflt(suppress, 0.0),
-                        help="wall seconds between analysis offers "
-                             "for --clock wall (0 = --hop)")
-    parser.add_argument("--event-history", type=int,
-                        default=_dflt(suppress, 256), metavar="N",
-                        help="operational events retained behind "
-                             "/api/events")
-    parser.add_argument("--topology", action="append",
-                        default=_dflt(suppress, None),
-                        metavar="CALLER:CALLEE[:COUNT]",
-                        help="declare one static deployment edge "
-                             "(repeatable); HTTP ingest has no tracer "
-                             "to observe calls")
-    _add_window_flags(parser, suppress)
-    _add_persistence_flags(parser, suppress)
-    _add_telemetry_flags(parser, suppress)
-    _add_parallel(parser, suppress)
-    _add_common(parser, suppress)
-
-
-def _add_record_flags(parser, suppress: bool = False) -> None:
-    _add_app(parser, suppress)
-    parser.add_argument("--backend", choices=BACKENDS.names(),
-                        default=_dflt(suppress, "sqlite"))
-    parser.add_argument("--out", metavar="PATH",
-                        default=_dflt(suppress, ""),
-                        help="sqlite database file or spill directory")
-    _add_workload(parser, suppress)
-    parser.add_argument("--store-retention", type=float,
-                        default=_dflt(suppress, 0.0),
-                        help="compaction horizon of --compact, seconds")
-    parser.add_argument("--store-schedule", metavar="SCHEDULE",
-                        default=_dflt(suppress, ""),
-                        help="tiered-retention schedule applied by "
-                             "--compact (see 'stream --help')")
-    parser.add_argument("--writer", choices=("sync", "async"),
-                        default=_dflt(suppress, "sync"),
-                        help="drive the backend inline (sync) or "
-                             "through a batching writer thread "
-                             "(async)")
-    _add_parallel(parser, suppress,
-                  note="; recording runs no analysis, so this only "
-                       "matters to scripts sharing flags with "
-                       "stream/replay")
-    _add_common(parser, suppress)
-
-
-def _add_replay_flags(parser, suppress: bool = False) -> None:
-    parser.add_argument("--backend", choices=BACKENDS.names(),
-                        default=_dflt(suppress, "sqlite"))
-    parser.add_argument("--path", metavar="PATH",
-                        default=_dflt(suppress, ""),
-                        help="recorded sqlite file or spill directory")
-    parser.add_argument("--seed", type=int, default=_dflt(suppress, 1))
-    _add_parallel(parser, suppress)
-
-
-def _add_pipeline_flags(parser, suppress: bool = False) -> None:
-    _add_app(parser, suppress)
-    parser.add_argument("--snapshot", metavar="PATH",
-                        default=_dflt(suppress, ""),
-                        help="write the analysis snapshot as JSON")
-    _add_common(parser, suppress)
-
-
-def _add_rca_flags(parser, suppress: bool = False) -> None:
-    parser.add_argument("--iterations", type=int,
-                        default=_dflt(suppress, 15),
-                        help="Rally boot_and_delete iterations")
-    parser.add_argument("--threshold", type=float,
-                        default=_dflt(suppress, 0.5),
-                        choices=[0.0, 0.5, 0.6, 0.7])
-    _add_common(parser, suppress)
-
-
-def _add_trace_flags(parser, suppress: bool = False) -> None:
-    parser.add_argument("--requests", type=int,
-                        default=_dflt(suppress, 10_000))
-    parser.add_argument("--seed", type=int, default=_dflt(suppress, 1))
-
-
-def _add_catalog_flags(parser, suppress: bool = False) -> None:
-    _add_app(parser, suppress)
-
-
-_MODE_FLAGS = {
-    "pipeline": _add_pipeline_flags,
-    "stream": _add_stream_flags,
-    "serve": _add_serve_flags,
-    "record": _add_record_flags,
-    "replay": _add_replay_flags,
-    "rca": _add_rca_flags,
-    "trace-overhead": _add_trace_flags,
-    "catalog": _add_catalog_flags,
-}
 
 
 # -- flags -> RunSpec ------------------------------------------------------
@@ -353,131 +316,54 @@ def _parse_topology(edges) -> list:
     return parsed
 
 
-def _merge(base: dict, overrides: dict) -> dict:
-    """Recursively overlay ``overrides`` onto ``base`` (in place)."""
-    for key, value in overrides.items():
-        if isinstance(value, dict) and isinstance(base.get(key), dict):
-            _merge(base[key], value)
-        else:
-            base[key] = value
-    return base
-
-
 def _spec_from_args(args, mode: str) -> RunSpec:
     """Resolve the declarative spec of one invocation.
 
-    Without ``--spec`` the flags (including their defaults) *are* the
-    spec; with it, the file is the base and only explicitly passed
-    flags override.
+    The base is the ``--spec`` file when one is given, else the mode's
+    defaults; every flag present in ``args`` (i.e. typed) overrides it.
     """
     spec_path = getattr(args, "spec", None)
-    provided: set = getattr(args, "_provided", set(vars(args)))
     if spec_path:
         data = load_spec(spec_path).to_dict()
-        if data.get("mode") not in (None, mode):
+        if data["mode"] != mode:
             raise ValueError(
                 f"--spec file declares mode {data['mode']!r}, "
                 f"but the {mode!r} subcommand was invoked"
             )
     else:
-        data = {}
-        provided = set(vars(args))  # defaults are the spec
-
-    overrides: dict = {}
-
-    def put(path: str, dest: str, value_map=None) -> None:
-        if dest not in provided or not hasattr(args, dest):
-            return
+        data = _mode_defaults(mode)
+    for flag in _MODE_FLAGS[mode]:
+        path, dest = _FLAGS[flag][1], flag[2:].replace("-", "_")
+        if path is None or not hasattr(args, dest):
+            continue
         value = getattr(args, dest)
-        if value_map is not None:
-            value = value_map(value)
-        node = overrides
-        *heads, last = path.split(".")
-        for head in heads:
-            node = node.setdefault(head, {})
-        node[last] = value
-
-    put("app", "app")
-    put("seed", "seed")
-    put("duration", "duration")
-    put("snapshot", "snapshot")
-    put("workload.kind", "workload")
-    put("workload.rate", "rate")
-    put("streaming.window", "window")
-    put("streaming.hop", "hop")
-    put("streaming.retention", "retention")
-    put("streaming.adaptive_hop", "adaptive_hop")
-    put("streaming.hop_min", "hop_min")
-    put("streaming.hop_max", "hop_max")
-    put("streaming.checkpoint_every_windows", "checkpoint_every")
-    put("streaming.executor", "executor")
-    put("streaming.executor_workers", "workers")
-    put("streaming.writer", "writer")
-    put("journal", "journal")
-    put("checkpoint", "checkpoint")
-    put("resume", "resume")
-    put("compare", "compare")
-    put("telemetry.enabled", "telemetry")
-    put("telemetry.port", "telemetry_port")
-    put("telemetry.host", "telemetry_host")
-    put("service.port", "port")
-    put("service.host", "host")
-    put("service.clock", "clock")
-    put("service.poll_interval", "poll_interval")
-    put("service.event_history", "event_history")
-    put("service.topology", "topology", value_map=_parse_topology)
-    if mode in ("record", "replay"):
-        put("storage.kind", "backend")
-        put("storage.path", "out" if mode == "record" else "path")
-    else:
-        put("storage.kind", "store_backend")
-        put("storage.path", "store")
-    put("storage.retention", "store_retention")
-    put("storage.schedule", "store_schedule")
-    put("extra.iterations", "iterations")
-    put("extra.threshold", "threshold")
-    put("extra.requests", "requests")
-
-    data = _merge(data, overrides)
-    data["mode"] = mode
-    if mode == "rca":
-        # The RCA case study is defined on the OpenStack model.
-        data.setdefault("app", "openstack")
-    if mode == "serve":
-        # The subcommand *is* the request for the operations surface;
-        # a --spec file that explicitly disables it still errors out.
-        data.setdefault("service", {}).setdefault("enabled", True)
-        data.setdefault("app", "http")
-    streaming = data.get("streaming")
-    if streaming and "window" in streaming:
-        # The historical CLI contract: a window wider than the
-        # retention flag silently widens retention to cover it.
-        retention = streaming.get("retention", 120.0)
-        streaming["retention"] = max(retention, streaming["window"])
+        if flag == "--topology":
+            value = _parse_topology(value)
+        head, _, leaf = path.rpartition(".")
+        (_at(data, head) if head else data)[leaf] = value
+    # The historical CLI contract: a window wider than the retention
+    # flag silently widens retention to cover it.
+    streaming = data["streaming"]
+    streaming["retention"] = max(streaming["retention"],
+                                 streaming["window"])
     return RunSpec.from_dict(data)
 
 
 # -- subcommands -----------------------------------------------------------
 
 
-def _build(args, mode: str):
-    """Resolve flags (+ any --spec file) into a built session.
-
-    Raises ValueError/FileNotFoundError for user errors -- every
-    subcommand maps those to stderr + exit code 2 via :func:`_guarded`.
-    """
-    spec = _spec_from_args(args, mode)
-    return spec, build_pipeline(spec)
-
-
 def _guarded(args, mode: str):
-    """(spec, session, error_code): user errors become (None, None, 2)."""
+    """Resolve flags (+ any --spec file) into ``(spec, session, 0)``.
+
+    User errors -- a bad value, a missing file, a busy port -- print
+    to stderr and become ``(None, None, 2)``.
+    """
     try:
-        spec, session = _build(args, mode)
-    except (ValueError, FileNotFoundError) as exc:
+        spec = _spec_from_args(args, mode)
+        return spec, build_pipeline(spec), 0
+    except (ValueError, OSError) as exc:
         print(exc, file=sys.stderr)
         return None, None, 2
-    return spec, session, 0
 
 
 def cmd_pipeline(args) -> int:
@@ -814,71 +700,42 @@ def cmd_lint(args) -> int:
 
 # -- parser ----------------------------------------------------------------
 
+#: Run-mode subcommand -> (handler, ``--help`` summary), in help order.
+_COMMANDS = {
+    "pipeline": (cmd_pipeline,
+                 "run the full Sieve pipeline on an application"),
+    "stream": (cmd_stream,
+               "run the streaming analysis engine on a live application"),
+    "serve": (cmd_serve,
+              "run the engine as an HTTP service: POST /ingest feeds "
+              "the bus, GET /api/... serves the latest analysis"),
+    "record": (cmd_record,
+               "capture a live run into a durable storage backend"),
+    "replay": (cmd_replay,
+               "re-analyze a recorded backend and meter the replay"),
+    "rca": (cmd_rca, "OpenStack correct-vs-faulty root cause analysis"),
+    "trace-overhead": (cmd_trace_overhead,
+                       "Figure 5 tracing-overhead comparison"),
+    "catalog": (cmd_catalog, "list an application model's components"),
+}
 
-def build_parser(suppress: bool = False) -> argparse.ArgumentParser:
-    """The CLI parser.
 
-    ``suppress=True`` builds the shadow parser used to detect which
-    flags an invocation explicitly passed (everything not passed is
-    absent from its namespace), the basis of ``--spec`` overriding.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser (every run-mode flag comes from the flag table)."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Sieve reproduction command-line interface",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_pipeline = sub.add_parser(
-        "pipeline", help="run the full Sieve pipeline on an application")
-    _add_pipeline_flags(p_pipeline, suppress)
-    _add_spec_file(p_pipeline)
-    p_pipeline.set_defaults(func=cmd_pipeline)
-
-    p_stream = sub.add_parser(
-        "stream",
-        help="run the streaming analysis engine on a live application")
-    _add_stream_flags(p_stream, suppress)
-    _add_spec_file(p_stream)
-    _add_compact(p_stream)
-    p_stream.set_defaults(func=cmd_stream)
-
-    p_serve = sub.add_parser(
-        "serve",
-        help="run the engine as an HTTP service: POST /ingest feeds "
-             "the bus, GET /api/... serves the latest analysis")
-    _add_serve_flags(p_serve, suppress)
-    _add_spec_file(p_serve)
-    p_serve.set_defaults(func=cmd_serve)
-
-    p_record = sub.add_parser(
-        "record",
-        help="capture a live run into a durable storage backend")
-    _add_record_flags(p_record, suppress)
-    _add_spec_file(p_record)
-    _add_compact(p_record)
-    p_record.set_defaults(func=cmd_record)
-
-    p_replay = sub.add_parser(
-        "replay",
-        help="re-analyze a recorded backend and meter the replay")
-    _add_replay_flags(p_replay, suppress)
-    _add_spec_file(p_replay)
-    p_replay.set_defaults(func=cmd_replay)
-
-    p_rca = sub.add_parser(
-        "rca", help="OpenStack correct-vs-faulty root cause analysis")
-    _add_rca_flags(p_rca, suppress)
-    p_rca.set_defaults(func=cmd_rca)
-
-    p_trace = sub.add_parser(
-        "trace-overhead", help="Figure 5 tracing-overhead comparison")
-    _add_trace_flags(p_trace, suppress)
-    p_trace.set_defaults(func=cmd_trace_overhead)
-
-    p_catalog = sub.add_parser(
-        "catalog", help="list an application model's components")
-    _add_catalog_flags(p_catalog, suppress)
-    p_catalog.set_defaults(func=cmd_catalog)
+    for mode, (func, summary) in _COMMANDS.items():
+        p_mode = sub.add_parser(mode, help=summary)
+        _add_flags(p_mode, mode)
+        if mode not in ("rca", "trace-overhead", "catalog"):
+            _add_spec_file(p_mode)
+        if mode in ("stream", "record"):
+            _add_compact(p_mode)
+        p_mode.set_defaults(func=func)
 
     p_lint = sub.add_parser(
         "lint",
@@ -915,7 +772,7 @@ def build_parser(suppress: bool = False) -> argparse.ArgumentParser:
     spec_sub = p_spec.add_subparsers(dest="spec_mode", required=True)
     for mode in RUN_MODES:
         p_mode = spec_sub.add_parser(mode)
-        _MODE_FLAGS[mode](p_mode, suppress)
+        _add_flags(p_mode, mode)
         _add_spec_file(p_mode)
         p_mode.add_argument("-o", "--output", metavar="PATH",
                             help="write the spec here instead of "
@@ -928,13 +785,7 @@ def build_parser(suppress: bool = False) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # Which flags were explicitly passed (vs. argparse defaults):
-    # parse again with every default suppressed -- the attributes left
-    # in that namespace are exactly the provided ones.
-    shadow = build_parser(suppress=True).parse_args(argv)
-    args._provided = set(vars(shadow))
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

@@ -13,8 +13,7 @@ plugged in:
 * :class:`~repro.persistence.sqlite_backend.SqliteBackend` -- durable
   point log with indexed range scans in one sqlite file;
 * :class:`~repro.persistence.spill.SpillBackend` -- hot numpy tails in
-  RAM, cold immutable segments on disk (npz, or parquet when pyarrow
-  is available) behind an ``index.json``.
+  RAM, cold immutable npz segments on disk behind an ``index.json``.
 
 Crash safety for streaming runs composes two pieces:
 

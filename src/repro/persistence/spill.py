@@ -3,12 +3,11 @@
 Long retentions do not fit in memory; the spill backend keeps the most
 recent ``hot_points`` samples of every series in plain numpy buffers
 and, whenever a hot buffer fills, freezes it into an immutable on-disk
-*segment* (``.npz``, or parquet when pyarrow is installed).  An
-``index.json`` in the backend directory records every segment's key,
-time span and sample count, so a range query touches only the segments
-that overlap the window -- and so a fresh process can re-open a
-recorded directory and serve the same queries without re-ingesting
-anything.
+``.npz`` *segment*.  An ``index.json`` in the backend directory records
+every segment's key, time span and sample count, so a range query
+touches only the segments that overlap the window -- and so a fresh
+process can re-open a recorded directory and serve the same queries
+without re-ingesting anything.
 """
 
 from __future__ import annotations
@@ -27,15 +26,10 @@ from repro.persistence.retention import (
     rollup_arrays,
 )
 
-try:  # pragma: no cover - exercised only where pyarrow is installed
-    import pyarrow  # noqa: F401
-    import pyarrow.parquet  # noqa: F401
-    HAVE_PARQUET = True
-except ImportError:  # the container image ships numpy only
-    HAVE_PARQUET = False
-
 INDEX_NAME = "index.json"
 INDEX_VERSION = 1
+#: The one on-disk segment format (recorded in every index).
+SEGMENT_FORMAT = "npz"
 
 
 class Segment:
@@ -97,23 +91,15 @@ class _HotBuffer:
         self.n = 0
 
 
-def _write_segment(path: Path, arrays: dict, fmt: str) -> None:
+def _write_segment(path: Path, arrays: dict) -> None:
     """Persist one segment's column arrays (raw: ``t``/``v``; rollup
     additionally ``vmin``/``vmax``/``n``)."""
-    if fmt == "npz":
-        np.savez_compressed(path, **arrays)
-    else:  # pragma: no cover - parquet path needs pyarrow
-        table = pyarrow.table(arrays)
-        pyarrow.parquet.write_table(table, path)
+    np.savez_compressed(path, **arrays)
 
 
-def _read_segment(path: Path, fmt: str) -> dict:
-    if fmt == "npz":
-        with np.load(path) as data:
-            return {name: data[name] for name in data.files}
-    table = pyarrow.parquet.read_table(path)  # pragma: no cover
-    return {name: table[name].to_numpy()  # pragma: no cover
-            for name in table.column_names}
+def _read_segment(path: Path) -> dict:
+    with np.load(path) as data:
+        return {name: data[name] for name in data.files}
 
 
 def _as_rollup_columns(data: dict) -> tuple[np.ndarray, ...]:
@@ -128,18 +114,10 @@ class SpillBackend(BackendBase):
     """Bounded-RAM storage backend with on-disk cold segments."""
 
     def __init__(self, directory, hot_points: int = 2048,
-                 segment_format: str = "npz",
                  compact_min_points: int = 0,
                  schedule: str | RetentionSchedule | None = None):
         if hot_points < 8:
             raise ValueError("hot_points must be >= 8")
-        if segment_format not in ("npz", "parquet"):
-            raise ValueError(f"unknown segment format {segment_format!r}")
-        if segment_format == "parquet" and not HAVE_PARQUET:
-            raise RuntimeError(
-                "parquet segments need pyarrow, which is not installed; "
-                "use segment_format='npz'"
-            )
         if compact_min_points < 0:
             raise ValueError("compact_min_points must be >= 0")
         super().__init__()
@@ -152,7 +130,6 @@ class SpillBackend(BackendBase):
         segments accumulate from partial tails spilled at every
         :meth:`close`, so a long-lived recorded directory fragments
         over restart cycles until compaction merges them."""
-        self.segment_format = segment_format
         if isinstance(schedule, str):
             schedule = RetentionSchedule.parse(schedule) \
                 if schedule else None
@@ -178,14 +155,13 @@ class SpillBackend(BackendBase):
             raise ValueError(
                 f"unsupported spill index version {data.get('version')!r}"
             )
-        self.segment_format = data.get("segment_format", "npz")
-        if self.segment_format == "parquet" and not HAVE_PARQUET:
-            # The ctor guard only saw the (default) argument; a
-            # recorded directory brings its own format and must fail
-            # here, not with a NameError at the first segment read.
-            raise RuntimeError(
-                "this spill directory uses parquet segments but "
-                "pyarrow is not installed"
+        declared = data.get("segment_format", SEGMENT_FORMAT)
+        if declared != SEGMENT_FORMAT:
+            # A recorded directory brings its own format and must fail
+            # here, not at the first segment read.
+            raise ValueError(
+                f"unsupported spill segment format {declared!r} "
+                f"(this build reads {SEGMENT_FORMAT!r} segments only)"
             )
         self._meta = dict(data.get("meta", {}))
         for entry in data["series"]:
@@ -206,7 +182,7 @@ class SpillBackend(BackendBase):
     def _index_dict(self) -> dict:
         return {
             "version": INDEX_VERSION,
-            "segment_format": self.segment_format,
+            "segment_format": SEGMENT_FORMAT,
             "next_segment": self._next_segment,
             "meta": self._meta,
             "series": [
@@ -245,11 +221,8 @@ class SpillBackend(BackendBase):
 
     def _spill(self, key: MetricKey, hot: _HotBuffer) -> None:
         t, v = hot.arrays()
-        suffix = "npz" if self.segment_format == "npz" else "parquet"
-        name = f"seg-{self._next_segment:06d}.{suffix}"
-        self._next_segment += 1
-        _write_segment(self.directory / name, {"t": t, "v": v},
-                       self.segment_format)
+        name = self._new_segment_name()
+        _write_segment(self.directory / name, {"t": t, "v": v})
         self._segments.setdefault(key, []).append(
             Segment(name, float(t[0]), float(t[-1]), int(t.size))
         )
@@ -265,8 +238,7 @@ class SpillBackend(BackendBase):
         for segment in self._segments.get(key, ()):
             if segment.end < start or segment.start > end:
                 continue
-            data = _read_segment(self.directory / segment.file,
-                                 self.segment_format)
+            data = _read_segment(self.directory / segment.file)
             parts_t.append(data["t"])
             parts_v.append(data["v"])
         hot = self._hot.get(key)
@@ -302,8 +274,7 @@ class SpillBackend(BackendBase):
         for segment in self._segments.get(key, ()):
             if segment.end < start or segment.start > end:
                 continue
-            data = _read_segment(self.directory / segment.file,
-                                 self.segment_format)
+            data = _read_segment(self.directory / segment.file)
             parts.append(_as_rollup_columns(data))
         hot = self._hot.get(key)
         if hot is not None and hot.n:
@@ -359,8 +330,7 @@ class SpillBackend(BackendBase):
     # -- compaction ----------------------------------------------------
 
     def _new_segment_name(self) -> str:
-        suffix = "npz" if self.segment_format == "npz" else "parquet"
-        name = f"seg-{self._next_segment:06d}.{suffix}"
+        name = f"seg-{self._next_segment:06d}.{SEGMENT_FORMAT}"
         self._next_segment += 1
         return name
 
@@ -401,8 +371,7 @@ class SpillBackend(BackendBase):
             return segments
         parts = [
             _as_rollup_columns(
-                _read_segment(self.directory / s.file,
-                              self.segment_format))
+                _read_segment(self.directory / s.file))
             for s in affected
         ]
         t, v, vmin, vmax, n = (
@@ -417,8 +386,7 @@ class SpillBackend(BackendBase):
 
         def _emit(arrays: dict, resolution: float) -> None:
             name = self._new_segment_name()
-            _write_segment(self.directory / name, arrays,
-                           self.segment_format)
+            _write_segment(self.directory / name, arrays)
             ts = arrays["t"]
             new_segments.append(
                 Segment(name, float(ts[0]), float(ts[-1]),
@@ -525,8 +493,7 @@ class SpillBackend(BackendBase):
                     run.clear()
                     return
                 parts = [
-                    _read_segment(self.directory / s.file,
-                                  self.segment_format)
+                    _read_segment(self.directory / s.file)
                     for s in run
                 ]
                 data = {
@@ -534,8 +501,7 @@ class SpillBackend(BackendBase):
                     for name in parts[0]
                 }
                 name = self._new_segment_name()
-                _write_segment(self.directory / name, data,
-                               self.segment_format)
+                _write_segment(self.directory / name, data)
                 t = data["t"]
                 merged.append(Segment(name, float(t[0]), float(t[-1]),
                                       int(t.size), run[0].resolution))

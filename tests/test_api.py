@@ -13,8 +13,12 @@ Covers the PR-5 acceptance surface:
 * the adaptive analysis cadence and its checkpoint round-trip.
 """
 
+import contextlib
 import dataclasses
+import gc
 import json
+import operator
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -537,6 +541,172 @@ class TestSpecReproducibility:
         assert emitted["duration"] == 60.0
 
 
+@contextlib.contextmanager
+def _no_resource_warnings():
+    """Fail if the block (or garbage it leaves) leaks a file/socket.
+
+    Finalizer warnings cannot raise, so they are recorded instead.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        yield
+        gc.collect()
+    leaks = [str(w.message) for w in caught
+             if issubclass(w.category, ResourceWarning)]
+    assert not leaks, leaks
+
+
+def _cli_spec(argv):
+    """The RunSpec a ``repro <argv>`` invocation resolves to."""
+    from repro.cli import _spec_from_args, build_parser
+
+    args = build_parser().parse_args(argv)
+    return _spec_from_args(args, args.command)
+
+
+# Every flag of every run-mode subcommand, in --help order, as of the
+# commit that introduced the flag table: a dropped, added or reordered
+# flag must fail here.
+_PARENT_FLAGS = {
+    "pipeline": "--app --snapshot --seed --duration --spec",
+    "stream": "--app --window --hop --retention --adaptive-hop "
+              "--hop-min --hop-max --workload --rate --compare "
+              "--journal --checkpoint --checkpoint-every --resume "
+              "--store --store-backend --store-retention "
+              "--store-schedule --writer --telemetry --telemetry-port "
+              "--telemetry-host --progress --executor --workers --seed "
+              "--duration --spec --compact",
+    "serve": "--app --port --host --clock --poll-interval "
+             "--event-history --topology --window --hop --retention "
+             "--adaptive-hop --hop-min --hop-max --journal --checkpoint "
+             "--checkpoint-every --resume --store --store-backend "
+             "--store-retention --store-schedule --writer --telemetry "
+             "--telemetry-port --telemetry-host --executor --workers "
+             "--seed --duration --spec",
+    "record": "--app --backend --out --workload --rate "
+              "--store-retention --store-schedule --writer --executor "
+              "--workers --seed --duration --spec --compact",
+    "replay": "--backend --path --seed --executor --workers --spec",
+    "rca": "--iterations --threshold --seed --duration",
+    "trace-overhead": "--requests --seed",
+    "catalog": "--app",
+}
+
+
+class TestFlagTable:
+    @pytest.mark.parametrize("argv, expected", [
+        (["pipeline"], {"streaming": StreamingConfig(),
+                        "app": "sharelatex"}),
+        (["stream"], {"streaming.checkpoint_every_windows": 1,
+                      "storage.kind": "sqlite",
+                      "storage.enabled": False}),
+        (["serve"], {"app": "http", "service.enabled": True,
+                     "streaming.checkpoint_every_windows": 1,
+                     "storage.kind": "sqlite"}),
+        (["record", "--out", "x.db"], {
+            "storage": StorageSpec("sqlite", "x.db"),
+            "streaming.checkpoint_every_windows": 0}),
+        (["replay", "--path", "x.db"], {
+            "storage": StorageSpec("sqlite", "x.db")}),
+        (["rca"], {"app": "openstack",
+                   "extra": {"iterations": 15, "threshold": 0.5}}),
+        (["trace-overhead"], {"extra": {"requests": 10_000}}),
+        (["catalog"], {"app": "sharelatex", "extra": {}}),
+        (["stream", "--window", "200", "--retention", "50"],
+         {"streaming.window": 200.0, "streaming.retention": 200.0}),
+        (["serve", "--topology", "a:b", "--topology", "b:c:7"],
+         {"service.topology": (("a", "b", 1), ("b", "c", 7))}),
+        (["stream", "--adaptive-hop", "--workers", "3", "--telemetry"],
+         {"streaming.adaptive_hop": True,
+          "streaming.executor_workers": 3,
+          "telemetry.enabled": True, "compare": False}),
+    ])
+    def test_resolved_spec(self, argv, expected):
+        spec = _cli_spec(argv)
+        assert spec.mode == argv[0]
+        for path, value in expected.items():
+            assert operator.attrgetter(path)(spec) == value, path
+
+    def test_spec_file_survives_except_typed_flags(self, tmp_path):
+        # A base that differs from every CLI/spec default the stream
+        # flags can reach.
+        base = _stream_spec(
+            seed=9, duration=77.0, compare=True,
+            workload=WorkloadSpec("ramp", rate=7.0),
+            streaming=StreamingConfig(
+                window=30.0, hop=5.0, retention=300.0,
+                adaptive_hop=True, hop_min=2.0, hop_max=40.0,
+                checkpoint_every_windows=3, executor="thread",
+                executor_workers=3, writer="async"),
+            storage=StorageSpec("spill", "s", retention=500.0,
+                                schedule="1000s:full,inf:1m"),
+            journal="j.log", checkpoint="c.json",
+            telemetry=TelemetrySpec(enabled=True, port=9464,
+                                    host="0.0.0.0"),
+        )
+        path = tmp_path / "base.json"
+        save_spec(base, path)
+        assert _cli_spec(["stream", "--spec", str(path)]) == base
+        typed = _cli_spec(["stream", "--spec", str(path),
+                           "--seed", "2", "--writer", "sync",
+                           "--store-backend", "sqlite"])
+        assert typed == dataclasses.replace(
+            base, seed=2,
+            streaming=dataclasses.replace(base.streaming,
+                                          writer="sync"),
+            storage=dataclasses.replace(base.storage, kind="sqlite"),
+        )
+
+    def test_spec_file_of_another_mode_exits_2(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "stream.json"
+        save_spec(_stream_spec(), path)
+        assert main(["spec", "serve", "--spec", str(path)]) == 2
+        assert "declares mode 'stream'" in capsys.readouterr().err
+
+    def test_table_integrity(self):
+        from repro.api.spec import RUN_MODES
+        from repro.cli import _FLAGS, _MODE_FLAGS, _at
+
+        defaults = RunSpec().to_dict()
+        for flag, row in _FLAGS.items():
+            assert row[0] == flag and flag.startswith("--")
+            path = row[1]
+            if path is not None and not path.startswith("extra."):
+                _at(defaults, path)  # KeyError: no such spec field
+        assert set(_MODE_FLAGS) == set(RUN_MODES)
+        for mode, flags in _MODE_FLAGS.items():
+            assert set(flags) <= set(_FLAGS), mode
+            paths = [_FLAGS[flag][1] for flag in flags
+                     if _FLAGS[flag][1] is not None]
+            assert len(paths) == len(set(paths)), \
+                f"{mode}: two flags share a destination"
+        # Every row is reachable from at least one mode.
+        assert {f for flags in _MODE_FLAGS.values() for f in flags} \
+            == set(_FLAGS)
+
+    @pytest.mark.parametrize("mode", sorted(_PARENT_FLAGS))
+    def test_flag_sets_match_parent(self, mode):
+        from repro.cli import build_parser
+
+        commands = build_parser()._subparsers._group_actions[0].choices
+
+        def flags(parser):
+            return [action.option_strings[0]
+                    for action in parser._actions
+                    if action.option_strings[0] != "-h"]
+
+        assert flags(commands[mode]) == _PARENT_FLAGS[mode].split()
+        # `repro spec <mode>` takes the same run flags (no --compact:
+        # it steers the command, not the spec) plus its output flags.
+        expected = [flag for flag in _PARENT_FLAGS[mode].split()
+                    if flag not in ("--spec", "--compact")]
+        assert flags(commands["spec"]._subparsers._group_actions[0]
+                     .choices[mode]) \
+            == expected + ["--spec", "-o", "--format"]
+
+
 class TestCLIvsAPI:
     def test_record_equivalence(self, tmp_path, capsys):
         from repro.cli import main
@@ -655,6 +825,39 @@ class TestSessions:
         )
         with pytest.raises(ValueError, match="mismatch"):
             build_pipeline(mismatched)
+
+    @pytest.mark.parametrize("mode", ["stream", "serve"])
+    def test_close_closes_the_journal(self, tmp_path, mode):
+        builder = (PipelineBuilder("demo-chain").mode(mode)
+                   .journal(tmp_path / "j.log"))
+        if mode == "serve":
+            builder.service()
+        with _no_resource_warnings():
+            session = builder.build()
+            session.close()
+            assert session.journal._fh.closed
+            session.close()  # idempotent
+            del session
+
+    def test_busy_port_is_a_clean_exit(self, tmp_path, capsys):
+        import socket
+
+        from repro.cli import main
+
+        with socket.socket() as taken, _no_resource_warnings():
+            taken.bind(("127.0.0.1", 0))
+            taken.listen(1)
+            port = taken.getsockname()[1]
+            for argv in (["serve", "--port", str(port)],
+                         ["stream", "--app", "demo-chain",
+                          "--telemetry-port", str(port)]):
+                code = main([*argv, "--journal",
+                             str(tmp_path / "j.log"),
+                             "--store", str(tmp_path / "s.db")])
+                assert code == 2
+                err = capsys.readouterr().err
+                assert err.count("\n") == 1
+                assert f"127.0.0.1:{port}" in err
 
     def test_run_spec_convenience(self):
         from repro.api import run_spec

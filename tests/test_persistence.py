@@ -211,18 +211,14 @@ class TestDurability:
         assert reopened.query("web", "cpu").times[-1] == 25.0
 
     def test_parquet_spill_reopen_needs_pyarrow(self, tmp_path):
-        from repro.persistence.spill import HAVE_PARQUET
-
-        if HAVE_PARQUET:
-            pytest.skip("pyarrow installed; missing-dependency path "
-                        "not reachable")
         spill_dir = tmp_path / "spill"
         spill_dir.mkdir()
         (spill_dir / "index.json").write_text(json.dumps({
             "version": 1, "segment_format": "parquet",
             "next_segment": 0, "meta": {}, "series": [],
         }))
-        with pytest.raises(RuntimeError, match="pyarrow"):
+        with pytest.raises(ValueError,
+                           match="segment format 'parquet'"):
             SpillBackend(spill_dir)
 
     def test_open_backend_dispatch(self, tmp_path):
@@ -1094,10 +1090,10 @@ class TestTieredCompactionCrash:
             "import os, signal\n"
             "import repro.persistence.spill as spill\n"
             "orig = spill._write_segment\n"
-            "def killer(path, arrays, fmt):\n"
+            "def killer(path, arrays):\n"
             "    if 'vmin' in arrays:\n"
             "        os.kill(os.getpid(), signal.SIGKILL)\n"
-            "    return orig(path, arrays, fmt)\n"
+            "    return orig(path, arrays)\n"
             "spill._write_segment = killer\n"
             "from repro.persistence import SpillBackend\n"
             f"backend = SpillBackend({str(store)!r}, hot_points=256,\n"

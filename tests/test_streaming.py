@@ -563,8 +563,8 @@ class TestWindowDiffRCA:
 
 class TestCLIStream:
     def test_parser_accepts_stream(self):
-        from repro.cli import build_parser
+        from repro.cli import _spec_from_args, build_parser
         args = build_parser().parse_args(
             ["stream", "--app", "sharelatex", "--duration", "60"])
-        assert args.window == 20.0
+        assert _spec_from_args(args, "stream").streaming.window == 20.0
         assert args.func.__name__ == "cmd_stream"
