@@ -55,6 +55,8 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.persistence.journal import MAX_NAME_BYTES
+
 
 class IngestError(ValueError):
     """A malformed ingest payload (maps to HTTP 400)."""
@@ -395,8 +397,8 @@ def decode_payload(content_type: str, body: bytes, source: str = "",
             ) from None
     kind = (content_type or "application/json").split(";", 1)[0].strip()
     if kind in ("text/plain", "application/openmetrics-text"):
-        return _rescale(decode_text(body, source=source, seq=seq), scale)
-    if kind in ("application/json", ""):
+        request = decode_text(body, source=source, seq=seq)
+    elif kind in ("application/json", ""):
         request = decode_json(body)
         if source and not request.source:
             request.source = source
@@ -406,8 +408,24 @@ def decode_payload(content_type: str, body: bytes, source: str = "",
                     "a sequenced payload needs a source header"
                 )
             request.seq = seq
-        return _rescale(request, scale)
-    raise IngestError(f"unsupported Content-Type {content_type!r}")
+    else:
+        raise IngestError(f"unsupported Content-Type {content_type!r}")
+    _check_name_lengths(request)
+    return _rescale(request, scale)
+
+
+def _check_name_lengths(request: IngestRequest) -> None:
+    """Refuse names the write-ahead journal cannot frame: an accepted
+    batch it then failed to journal would be requeued forever."""
+    for batch in request.batches:
+        for name in (batch.component, batch.metric, *batch.metrics):
+            # A name of n characters is at most 4n bytes of UTF-8.
+            if len(name) * 4 > MAX_NAME_BYTES and len(name.encode(
+                    "utf-8", "surrogatepass")) > MAX_NAME_BYTES:
+                raise IngestError(
+                    f"name of {len(name)} characters exceeds "
+                    f"{MAX_NAME_BYTES} bytes of UTF-8"
+                )
 
 
 class SourceGate:

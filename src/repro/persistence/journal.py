@@ -1,19 +1,47 @@
 """Write-ahead ingest journal for crash-safe streaming restarts.
 
 Every batch the :class:`~repro.streaming.bus.IngestionBus` flushes is
-appended here *before* it is delivered to subscribers, one JSON line
-per (component, metric) batch.  A killed streaming process can then be
+appended here *before* it is delivered to subscribers, one frame per
+(component, metric) batch.  A killed streaming process can then be
 resumed losslessly: replaying the journal through a fresh
 :class:`~repro.streaming.window.WindowStore` rebuilds the exact ring
 state the dead process held (ingestion order and eviction are
 deterministic), after which a checkpoint restores the analysis state
 on top (:mod:`repro.persistence.checkpoint`).
 
-JSON float serialization uses shortest-roundtrip ``repr``, so replayed
-samples are bit-identical to the originals.  A crash can truncate the
-final line; replay detects and discards exactly that partial record,
-and re-opening a journal for appending first truncates such a torn
-tail so new records never merge into it.
+**Format.**  Each journal file is a 12-byte header (the magic
+``SIEVEJNL`` and a ``u32`` format version) followed by one frame per
+:meth:`IngestJournal.append_batch`, all integers little-endian::
+
+    u32 length        payload bytes
+    u32 crc32         zlib CRC-32 of the payload
+    payload:
+      u16 component   UTF-8 byte length of the component name
+      u16 metric      UTF-8 byte length of the metric name
+      u32 points      n
+      component, metric (UTF-8)
+      n times, then n values (float64)
+
+Samples are stored as raw IEEE-754 doubles, so replayed samples are
+bit-identical to the originals (``-0.0``, ``inf`` and subnormals
+included).  Each frame is handed to the OS in one unbuffered write
+before the bus delivers the batch; a failed write is cut back to the
+end of the last complete frame before the error propagates, so the
+bus's requeue journals the batch again exactly once.
+
+**Torn versus corrupt.**  A crash can leave the final frame of the
+active file incomplete.  Replay forgives exactly that -- a bad frame
+with nothing after it, in the active file only -- and re-opening the
+journal for appending truncates it so new frames never follow garbage.
+A bad frame followed by further bytes (a CRC mismatch, or a length
+that disagrees with the payload's own counts), or a bad final frame in
+a sealed segment, raises ``ValueError``: everything after it would
+silently vanish otherwise.
+
+**One format.**  Journals written in the earlier JSON-lines format
+(or any file without the header) are refused with ``ValueError`` and
+left byte-for-byte untouched; a fresh (``truncate=True``) journal
+replaces them.
 
 **Rotation.**  The journal is a sequence of files: the *active* file
 (the given path) plus zero or more immutable rotated *segments*
@@ -36,9 +64,10 @@ recovery of otherwise-lost data, not corruption.
 
 from __future__ import annotations
 
-import json
 import os
 import re
+import struct
+import zlib
 from pathlib import Path
 from typing import Iterator
 
@@ -50,23 +79,33 @@ JournalRecord = tuple[str, str, np.ndarray, np.ndarray]
 #: Zero-padded width of rotated-segment sequence numbers.
 _SEQ_WIDTH = 6
 
+_MAGIC = b"SIEVEJNL"
+_VERSION = 1
+_HEADER = _MAGIC + struct.pack("<I", _VERSION)
 
-def _repair_torn_tail(path: Path) -> None:
-    """Truncate a partial final line left by a mid-write crash.
+#: Frame prefix: payload length, payload CRC-32.
+_FRAME = struct.Struct("<II")
+#: Payload head: component bytes, metric bytes, point count.
+_COUNTS = struct.Struct("<HHI")
+#: Both, as a reader sees them at the start of every frame.
+_PREFIX = struct.Struct("<IIHHI")
 
-    Every complete record ends with a newline (records contain none
-    internally), so any bytes after the last newline are a torn write;
-    appending to them would merge the next record into garbage.
-    """
-    if not path.exists():
-        return
-    with open(path, "rb") as handle:
-        data = handle.read()
-    if not data or data.endswith(b"\n"):
-        return
-    keep = data.rfind(b"\n") + 1  # 0 when no newline at all
-    with open(path, "rb+") as handle:
-        handle.truncate(keep)
+_F64 = np.dtype("<f8")
+
+#: Longest component or metric name, in UTF-8 bytes, a frame can hold.
+MAX_NAME_BYTES = 0xFFFF
+
+
+def _encode_name(name: str) -> bytes:
+    """UTF-8 bytes of a name; lone surrogates (which JSON can carry)
+    round-trip instead of failing the write."""
+    data = name.encode("utf-8", "surrogatepass")
+    if len(data) > MAX_NAME_BYTES:
+        raise ValueError(
+            f"name of {len(data)} UTF-8 bytes exceeds the journal's "
+            f"{MAX_NAME_BYTES}-byte limit"
+        )
+    return data
 
 
 def journal_segments(path) -> list[Path]:
@@ -95,7 +134,8 @@ class IngestJournal:
         ``truncate=True`` starts the journal fresh (a new run that is
         not resuming), deleting rotated segments of earlier runs; the
         default appends, after repairing any torn tail a crash left
-        behind."""
+        behind (and refuses a file that is not a journal of this
+        format, leaving it untouched)."""
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.fsync = fsync
@@ -105,13 +145,12 @@ class IngestJournal:
             for segment in segments:
                 segment.unlink()
             segments = []
-            mode = "w"
-        else:
-            _repair_torn_tail(self.path)
-            mode = "a"
+        # Resuming keeps everything up to the last complete frame (0
+        # when there is none); a file of any other format raises here,
+        # before anything is opened for writing.
+        self._open(0 if truncate else _complete_length(self.path))
         self._seq = 0 if not segments \
             else int(segments[-1].name.rsplit(".", 1)[1])
-        self._fh = open(self.path, mode, encoding="utf-8")
         self.records_written = 0
         self.rotations = 0
         """Segments sealed so far by :meth:`rotate`."""
@@ -122,25 +161,59 @@ class IngestJournal:
         self._active_records = 0
         self._active_newest = float("-inf")
 
+    def _open(self, keep: int) -> None:
+        """Open the active file for appending after its first ``keep``
+        bytes; with ``keep == 0`` it starts over holding just the
+        header.  Append mode keeps every write at the (possibly
+        truncated) end of the file."""
+        self._fh = open(self.path, "ab", buffering=0)
+        self._fh.truncate(keep)
+        self._size = keep
+        if not keep:
+            self._write(_HEADER)
+
+    def _write(self, data: bytes) -> None:
+        """Append ``data`` whole, or cut the file back and re-raise.
+
+        A failed write (disk full, I/O error) may have landed part of
+        a frame; truncating to the last complete frame keeps the file
+        replayable, and the caller's retry appends cleanly after it.
+        """
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[self._fh.write(view):]
+        except BaseException:
+            os.ftruncate(self._fh.fileno(), self._size)
+            raise
+        self._size += len(data)
+
     def append_batch(self, component: str, metric: str,
                      times, values) -> None:
-        """Log one flushed batch (called by the bus ahead of delivery)."""
-        t = np.asarray(times, dtype=float).reshape(-1)
-        record = {
-            "c": component,
-            "m": metric,
-            "t": t.tolist(),
-            "v": np.asarray(values, dtype=float).reshape(-1).tolist(),
-        }
-        self._fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+        """Log one flushed batch (called by the bus ahead of delivery).
+
+        ``times`` and ``values`` must have equal length; a mismatched
+        batch (or an over-long name) raises ``ValueError`` and writes
+        nothing."""
+        t = np.asarray(times, dtype=_F64).reshape(-1)
+        v = np.asarray(values, dtype=_F64).reshape(-1)
+        if t.size != v.size:
+            raise ValueError("times and values must have equal length")
+        c = _encode_name(component)
+        m = _encode_name(metric)
+        payload = b"".join((_COUNTS.pack(len(c), len(m), t.size),
+                            c, m, t.tobytes(), v.tobytes()))
+        self._write(_FRAME.pack(len(payload), zlib.crc32(payload))
+                    + payload)
         self.records_written += 1
         self._active_records += 1
         if t.size:
             self._active_newest = max(self._active_newest, float(t[-1]))
 
     def commit(self) -> None:
-        """Push buffered lines to the OS (and to disk with ``fsync``)."""
-        self._fh.flush()
+        """Make appended frames durable against power loss (with
+        ``fsync``); every frame already reached the OS when it was
+        appended."""
         if self.fsync:
             os.fsync(self._fh.fileno())
 
@@ -170,7 +243,7 @@ class IngestJournal:
         os.replace(self.path, segment)
         if self._active_newest != float("-inf"):
             self._segment_newest[segment] = self._active_newest
-        self._fh = open(self.path, "w", encoding="utf-8")
+        self._open(0)
         self._active_records = 0
         self._active_newest = float("-inf")
         self.rotations += 1
@@ -214,54 +287,100 @@ def _scan_newest(segment: Path) -> float:
     were cached only in that process's memory.
     """
     newest = float("-inf")
-    for _component, _metric, times, _values in _replay_file(
+    for _end, (_component, _metric, times, _values) in _frames(
             segment, tolerate_torn=True):
         if times.size:
             newest = max(newest, float(times[-1]))
     return newest
 
 
-def _replay_file(path: Path,
-                 tolerate_torn: bool) -> Iterator[JournalRecord]:
-    """Yield the complete records of one journal file, in write order.
+def _check_header(path: Path, head: bytes, tolerate_torn: bool) -> bool:
+    """Validate a file's first bytes; False for a torn (short) header.
 
-    With ``tolerate_torn`` a partial *final* line (the crash case) is
-    skipped silently; a corrupt line in the middle of the file always
-    raises, because everything after it would silently vanish
-    otherwise.  The file is streamed with one line of lookahead --
-    journals of long runs are large, so replay must not materialize
-    them in memory.
+    Anything that is not a prefix of this format's header raises --
+    a JSON-lines journal of the earlier format with its own message.
+    """
+    if head == _HEADER:
+        return True
+    if len(head) < len(_HEADER) and _HEADER.startswith(head):
+        if tolerate_torn:
+            return False
+        raise ValueError(f"torn journal header in {path}")
+    if head.startswith(b"{"):
+        raise ValueError(
+            f"{path} is a JSON-lines ingest journal of an earlier "
+            f"version; this version reads only the binary journal "
+            f"format (start a fresh run, or resume with the version "
+            f"that wrote it)"
+        )
+    if head.startswith(_MAGIC):
+        version = int.from_bytes(head[len(_MAGIC):], "little")
+        raise ValueError(
+            f"unsupported journal format version {version} in {path} "
+            f"(expected {_VERSION})"
+        )
+    raise ValueError(f"{path} is not an ingest journal")
+
+
+def _frames(path: Path, tolerate_torn: bool
+            ) -> Iterator[tuple[int, JournalRecord]]:
+    """Yield ``(end offset, record)`` for each complete frame of one
+    journal file, in write order (nothing for a missing or empty file).
+
+    With ``tolerate_torn`` a bad *final* frame (the crash case) ends
+    the file silently; a bad frame with more bytes after it always
+    raises.  Reads one frame at a time -- journals of long runs are
+    large, so replay must not materialize them in memory.
     """
     if not path.exists():
         return
+    with open(path, "rb") as handle:
+        size = os.fstat(handle.fileno()).st_size
+        if not size or not _check_header(
+                path, handle.read(len(_HEADER)), tolerate_torn):
+            return
+        offset = len(_HEADER)
+        while offset < size:
+            prefix = handle.read(_PREFIX.size)
+            torn = len(prefix) < _PREFIX.size
+            if not torn:
+                length, crc, lc, lm, n = _PREFIX.unpack(prefix)
+                if length != _COUNTS.size + lc + lm + 16 * n:
+                    # A torn write leaves a *prefix* of a valid frame,
+                    # whose counts always agree with its length.
+                    raise ValueError(
+                        f"corrupt journal frame at {path} offset {offset}"
+                    )
+                end = offset + _FRAME.size + length
+                torn = end > size
+            if torn:
+                if tolerate_torn:
+                    return
+                raise ValueError(
+                    f"torn journal frame at {path} offset {offset}"
+                )
+            body = handle.read(length - _COUNTS.size)
+            if zlib.crc32(body, zlib.crc32(prefix[_FRAME.size:])) != crc:
+                if tolerate_torn and end == size:
+                    return  # a bad final frame: torn tail from a crash
+                raise ValueError(
+                    f"corrupt journal frame at {path} offset {offset}"
+                )
+            both = np.frombuffer(body, dtype=_F64, count=2 * n,
+                                 offset=lc + lm).astype(float)
+            yield end, (body[:lc].decode("utf-8", "surrogatepass"),
+                        body[lc:lc + lm].decode("utf-8", "surrogatepass"),
+                        both[:n], both[n:])
+            offset = end
 
-    def parse(number: int, stripped: str) -> JournalRecord:
-        try:
-            record = json.loads(stripped)
-        except json.JSONDecodeError:
-            raise ValueError(
-                f"corrupt journal record at {path}:{number}"
-            ) from None
-        return (record["c"], record["m"],
-                np.asarray(record["t"], dtype=float),
-                np.asarray(record["v"], dtype=float))
 
-    with open(path, "r", encoding="utf-8") as handle:
-        held: tuple[int, str] | None = None
-        for number, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            if held is not None:
-                yield parse(*held)  # not last -> corruption raises
-            held = (number, stripped)
-        if held is not None:
-            try:
-                yield parse(*held)
-            except ValueError:
-                if not tolerate_torn:
-                    raise
-                return  # torn tail from a mid-write crash
+def _complete_length(path: Path) -> int:
+    """Bytes of ``path`` up to the end of its last complete frame (0
+    when it holds none).  Raises on corruption, as replay would."""
+    keep = 0
+    for keep, _record in _frames(path, tolerate_torn=True):
+        pass
+    return keep
 
 
 def replay_journal(path) -> Iterator[JournalRecord]:
@@ -269,13 +388,15 @@ def replay_journal(path) -> Iterator[JournalRecord]:
 
     Spans rotated segments (oldest first) and then the active file, so
     rotation is invisible to readers.  Only the active file can end in
-    a torn line (segments are sealed by a completed rotation), so only
-    its final record is forgiven.
+    a torn frame (segments are sealed by a completed rotation), so only
+    its final frame is forgiven.
     """
     path = Path(path)
     for segment in journal_segments(path):
-        yield from _replay_file(segment, tolerate_torn=False)
-    yield from _replay_file(path, tolerate_torn=True)
+        for _end, record in _frames(segment, tolerate_torn=False):
+            yield record
+    for _end, record in _frames(path, tolerate_torn=True):
+        yield record
 
 
 def journal_record_count(path) -> int:

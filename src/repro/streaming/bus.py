@@ -269,27 +269,31 @@ class IngestionBus:
             raise ValueError("times and values must have equal length")
         if t.size == 0:
             return
-        while t.size and self._clip_resumed(component, metric, t[0]):
-            self.stats.resume_clipped += 1
-            t, v = t[1:], v[1:]
-        if t.size == 0:
-            return
+        if self._resume_clip is not None:
+            while t.size and self._clip_resumed(component, metric, t[0]):
+                self.stats.resume_clipped += 1
+                t, v = t[1:], v[1:]
+            if t.size == 0:
+                return
         buffer = self._buffer(component, metric)
-        if np.any(np.diff(t) < 0):
-            self.stats.rejected_points += int(t.size)
+        size = t.size
+        if (t[1:] < t[:-1]).any():
+            self.stats.rejected_points += size
             return
         if t[0] < buffer.last_time:
             late = int(np.searchsorted(t, buffer.last_time))
             self.stats.rejected_points += late
             t, v = t[late:], v[late:]
-            if t.size == 0:
+            size -= late
+            if size == 0:
                 return
+        newest = float(t[-1])
         buffer.times.extend(t.tolist())
         buffer.values.extend(v.tolist())
-        buffer.last_time = float(t[-1])
-        self._high_water[(component, metric)] = float(t[-1])
-        self._pending += int(t.size)
-        self.stats.points_published += int(t.size)
+        buffer.last_time = newest
+        self._high_water[(component, metric)] = newest
+        self._pending += size
+        self.stats.points_published += size
         self.stats.batches_published += 1
         self._enforce_bounds()
 

@@ -62,15 +62,20 @@ class RingSeries:
 
     def extend(self, times, values) -> None:
         """Bulk-append ordered samples, then enforce both bounds."""
-        t = np.asarray(times, dtype=float).reshape(-1)
-        v = np.asarray(values, dtype=float).reshape(-1)
+        self._extend(np.asarray(times, dtype=float).reshape(-1),
+                     np.asarray(values, dtype=float).reshape(-1))
+
+    def _extend(self, t: np.ndarray, v: np.ndarray) -> None:
+        """:meth:`extend` on inputs already converted to 1-d float
+        arrays (the window store converts each batch once)."""
         if t.size != v.size:
             raise ValueError("times and values must have equal length")
         if t.size == 0:
             return
-        if np.any(np.diff(t) < 0):
+        if (t[1:] < t[:-1]).any():
             raise ValueError("ring writes require non-decreasing times")
-        if len(self) and t[0] < self._times[self._end - 1]:
+        held = self._end > self._start
+        if held and t[0] < self._times[self._end - 1]:
             raise ValueError(
                 f"out-of-order ring write at t={t[0]} "
                 f"(last t={self._times[self._end - 1]})"
@@ -81,11 +86,15 @@ class RingSeries:
             t, v = t[-self.max_points:], v[-self.max_points:]
 
         # Age bound, relative to the newest incoming sample -- applied
-        # to the stored samples and to the batch itself.
+        # to the stored samples and to the batch itself.  Both are
+        # ordered, so nothing is older than the cutoff unless their
+        # first sample is and the search can be skipped otherwise; the
+        # negated tests keep a NaN cutoff (or oldest) searching.
         cutoff = t[-1] - self.retention
-        self.evict_before(cutoff)
-        stale = int(np.searchsorted(t, cutoff, side="left"))
-        if stale:
+        if held and not self._times[self._start] >= cutoff:
+            self.evict_before(cutoff)
+        if not t[0] >= cutoff:
+            stale = int(np.searchsorted(t, cutoff, side="left"))
             self.evicted += stale
             t, v = t[stale:], v[stale:]
         # Count bound: make room for the incoming batch.
@@ -262,7 +271,7 @@ class WindowStore:
         if self.backend is not None:
             self.backend.write(component, metric, t, v)
             self.backend_writes += 1
-        ring.extend(t, v)
+        ring._extend(t, v)
         self.points_ingested += int(t.size)
         self.batches_ingested += 1
         if self.first_time is None or t[0] < self.first_time:

@@ -3,6 +3,7 @@ process determinism, pool-size-1 fallback), the concurrent-ingest
 writer (ordering, error relay, crash safety with the journal), and
 write-ahead journal rotation at checkpoint epochs."""
 
+import os
 import time
 
 import numpy as np
@@ -518,14 +519,13 @@ class TestJournalRotation:
             self, tmp_path):
         path = tmp_path / "ingest.journal"
         journal = self._journal_with_epochs(path)
+        journal.append_batch("web", "cpu", [99.0], [1.0])
         journal.close()
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"c": "web", "m": "cpu", "t": [99')
+        os.truncate(path, path.stat().st_size - 5)
         assert journal_record_count(path) == 3  # torn tail skipped
         segment = journal_segments(path)[0]
-        with open(segment, "a", encoding="utf-8") as handle:
-            handle.write('{"torn": ')
-        with pytest.raises(ValueError, match="corrupt journal record"):
+        os.truncate(segment, segment.stat().st_size - 5)
+        with pytest.raises(ValueError, match="torn journal frame"):
             list(replay_journal(path))
 
     def test_checkpoint_policy_rotates_and_retires(self, tmp_path):

@@ -3,13 +3,19 @@ write-ahead ingest journal, checkpoint/restore, backpressure, the
 drift+SLA RCA trigger, and crash-restart determinism."""
 
 import dataclasses
+import errno
 import json
 import os
 import signal
+import struct
+import tempfile
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.autoscaling.sla import SLACondition
 from repro.causality.depgraph import edge_jaccard
@@ -22,7 +28,9 @@ from repro.persistence import (
     MemoryBackend,
     SpillBackend,
     SqliteBackend,
+    checkpoint_state,
     journal_record_count,
+    journal_segments,
     load_checkpoint,
     open_backend,
     replay_journal,
@@ -42,6 +50,19 @@ from repro.streaming import (
     WindowStore,
 )
 from repro.workload import constant_rate
+
+
+def _frame(component, metric, times, values) -> bytes:
+    """One journal frame, built from the documented layout alone."""
+    t = [float(x) for x in times]
+    v = [float(x) for x in values]
+    c = component.encode("utf-8", "surrogatepass")
+    m = metric.encode("utf-8", "surrogatepass")
+    payload = (struct.pack("<HHI", len(c), len(m), len(t)) + c + m
+               + struct.pack(f"<{len(t)}d", *t)
+               + struct.pack(f"<{len(v)}d", *v))
+    return struct.pack("<II", len(payload), zlib.crc32(payload)) \
+        + payload
 
 
 def _spec(name, shift=False, **kwargs):
@@ -287,39 +308,37 @@ class TestIngestJournal:
         assert journal_record_count(path) == 2
 
     def test_record_bytes_are_pinned(self, tmp_path):
-        # The on-disk line format is the resume contract: floats (and
-        # ints, float32s, lists) are written as repr(float(x)), with
-        # the shortest separators and one record per line.
+        # The on-disk frame layout is the resume contract: a 12-byte
+        # header, then per batch u32 length + u32 crc32 + payload of
+        # u16/u16/u32 counts, UTF-8 names and little-endian float64s
+        # (ints, float32s and tuples widened exactly as float(x)).
         path = tmp_path / "ingest.journal"
         journal = IngestJournal(path)
         t = np.array([1.0, 1.5 + 1e-13, 2.0, 1e22, 5e-324])
         v = np.array([0.1, np.pi, -3.7e-9, np.inf, -0.0])
-        journal.append_batch("web", "cpu", t, v)
-        journal.append_batch("db", 'io{dev="sda"}', [3, 4], (4, 5.5))
-        journal.append_batch("db", "mem", np.float32([0.1]),
-                             np.arange(1))
+        batches = [
+            ("web", "cpu", t, v),
+            ("db", 'io{dev="sda"}', [3, 4], (4, 5.5)),
+            ("db", "mem", np.float32([0.1]), np.arange(1)),
+        ]
+        for batch in batches:
+            journal.append_batch(*batch)
         journal.close()
-        expected = "".join(
-            json.dumps({"c": c, "m": m,
-                        "t": [float(x) for x in times],
-                        "v": [float(x) for x in values]},
-                       separators=(",", ":")) + "\n"
-            for c, m, times, values in [
-                ("web", "cpu", t, v),
-                ("db", 'io{dev="sda"}', [3, 4], (4, 5.5)),
-                ("db", "mem", np.float32([0.1]), np.arange(1)),
-            ]
-        )
-        assert path.read_bytes() == expected.encode("utf-8")
-        assert '"t":[3.0,4.0],"v":[4.0,5.5]' in expected
+        expected = b"SIEVEJNL" + struct.pack("<I", 1) + b"".join(
+            _frame(*batch) for batch in batches)
+        assert path.read_bytes() == expected
+        # Spot-check the widened values and the labelled name.
+        assert struct.pack("<4d", 3.0, 4.0, 4.0, 5.5) in expected
+        assert struct.pack("<d", float(np.float32(0.1))) in expected
+        assert b'io{dev="sda"}' in expected
 
     def test_torn_tail_is_skipped(self, tmp_path):
         path = tmp_path / "ingest.journal"
         journal = IngestJournal(path)
         journal.append_batch("web", "cpu", [1.0], [1.0])
         journal.close()
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"c":"web","m":"cpu","t":[2.0],"v"')  # torn
+        with open(path, "ab") as handle:
+            handle.write(_frame("web", "cpu", [2.0], [2.0])[:-3])  # torn
         assert journal_record_count(path) == 1
 
     def test_corrupt_middle_raises(self, tmp_path):
@@ -327,22 +346,115 @@ class TestIngestJournal:
         journal = IngestJournal(path)
         journal.append_batch("web", "cpu", [1.0], [1.0])
         journal.close()
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write("garbage\n")
-            handle.write('{"c":"web","m":"cpu","t":[2.0],"v":[2.0]}\n')
-        with pytest.raises(ValueError):
+        with open(path, "ab") as handle:
+            handle.write(b"\x00\x13\xfe garbage \xff" * 3)
+            handle.write(_frame("web", "cpu", [2.0], [2.0]))
+        with pytest.raises(ValueError, match="corrupt journal frame"):
             list(replay_journal(path))
+        # Opening it for appending refuses too, and repairs nothing.
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="corrupt journal frame"):
+            IngestJournal(path)
+        assert path.read_bytes() == before
 
     def test_missing_journal_is_empty(self, tmp_path):
         assert list(replay_journal(tmp_path / "absent.journal")) == []
+
+    def test_legacy_json_lines_journal_is_refused(self, tmp_path, capsys):
+        from repro.api import build_pipeline, load_spec
+        from repro.cli import main
+
+        path = tmp_path / "ingest.journal"
+        checkpoint = tmp_path / "engine.ckpt"
+        argv = ["serve", "--port", "0", "--journal", str(path),
+                "--checkpoint", str(checkpoint)]
+        # A checkpoint the resumed invocation accepts: written by a
+        # session of exactly the spec that invocation resolves.
+        assert main(["spec", *argv, "-o", str(tmp_path / "run.json")]) \
+            == 0
+        session = build_pipeline(load_spec(tmp_path / "run.json"))
+        save_checkpoint(session.engine, checkpoint,
+                        spec=session.spec.to_dict())
+        session.close()
+        legacy = (b'{"c":"web","m":"cpu","t":[1.0],"v":[1.0]}\n'
+                  b'{"c":"web","m":"cpu","t":[2.0],"v":[2.0]}\n')
+        path.write_bytes(legacy)
+        with pytest.raises(ValueError, match="JSON-lines"):
+            IngestJournal(path)
+        with pytest.raises(ValueError, match="JSON-lines"):
+            list(replay_journal(path))
+        capsys.readouterr()
+        assert main([*argv, "--resume"]) == 2
+        assert "JSON-lines" in capsys.readouterr().err
+        assert path.read_bytes() == legacy
+
+    def test_mismatched_lengths_write_nothing(self, tmp_path):
+        path = tmp_path / "ingest.journal"
+        journal = IngestJournal(path)
+        journal.append_batch("web", "cpu", [1.0], [1.0])
+        size = path.stat().st_size
+        with pytest.raises(ValueError, match="equal length"):
+            journal.append_batch("web", "cpu", [2.0, 3.0], [2.0])
+        with pytest.raises(ValueError, match="byte limit"):
+            journal.append_batch("web", "m" * 70_000, [2.0], [2.0])
+        assert path.stat().st_size == size
+        assert journal.records_written == 1
+        journal.close()
+        # What was journaled still restores.
+        store = WindowStore()
+        for record in replay_journal(path):
+            store.ingest(*record)
+        assert store.total_points() == 1
+
+    def test_half_written_frame_is_cut_back(self, tmp_path):
+        # Disk full after half a frame landed: the journal truncates to
+        # its last complete frame before the error reaches the bus,
+        # whose requeue then journals the batch again exactly once.
+        path = tmp_path / "ingest.journal"
+        journal = IngestJournal(path)
+        real = journal._fh
+
+        class HalfWrite:
+            writes = 0
+
+            def write(self, data):
+                HalfWrite.writes += 1
+                if HalfWrite.writes == 2:
+                    real.write(bytes(data[:len(data) // 2]))
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return real.write(data)
+
+            def __getattr__(self, name):
+                return getattr(real, name)
+
+        bus = IngestionBus()
+        bus.attach_journal(journal)
+        delivered = []
+        bus.subscribe(lambda c, m, t, v: delivered.append(
+            (c, m, t.tolist(), v.tolist())))
+        bus.publish_points("web", "cpu", [1.0, 2.0], [1.0, 2.0])
+        bus.flush()
+        bus.publish_points("web", "cpu", [3.0], [3.0])
+        bus.publish_points("db", "mem", [1.0, 2.0], [5.0, 6.0])
+        bus.publish_points("db", "io", [1.0], [7.0])
+        journal._fh = HalfWrite()
+        with pytest.raises(OSError):
+            bus.flush()
+        assert bus.pending_points == 3  # db/mem and db/io requeued
+        bus.flush()
+        journal.close()
+        replayed = [(c, m, t.tolist(), v.tolist())
+                    for c, m, t, v in replay_journal(path)]
+        assert replayed == delivered
+        assert sum(len(t) for _c, _m, t, _v in replayed) == 6
 
     def test_reopen_repairs_torn_tail_before_appending(self, tmp_path):
         path = tmp_path / "ingest.journal"
         journal = IngestJournal(path)
         journal.append_batch("web", "cpu", [1.0], [1.0])
         journal.close()
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"c":"web","m":"cpu","t":[2.0],"v"')  # torn
+        with open(path, "ab") as handle:
+            handle.write(_frame("web", "cpu", [2.0], [2.0])[:-3])  # torn
         # A resumed run re-opens the same journal: the torn tail must
         # be truncated, or the next record merges into garbage.
         resumed = IngestJournal(path)
@@ -418,6 +530,97 @@ class TestIngestJournal:
             bus.flush()
         # The write-ahead contract: the batch hit the journal first.
         assert journal_record_count(path) == 1
+
+
+_floats = st.floats(allow_nan=True, allow_infinity=True,
+                    allow_subnormal=True)
+_records = st.lists(
+    st.tuples(
+        st.text(st.characters(exclude_categories=()), max_size=6),
+        st.text(max_size=12),
+        st.lists(st.tuples(_floats, _floats), max_size=4),
+    ).map(lambda r: (r[0], r[1], [p[0] for p in r[2]],
+                     [p[1] for p in r[2]])),
+    min_size=1, max_size=5,
+)
+
+
+def _bits(records) -> list:
+    """Records with their samples as raw float64 bytes (NaN-safe)."""
+    return [(c, m, np.asarray(t, dtype=float).tobytes(),
+             np.asarray(v, dtype=float).tobytes())
+            for c, m, t, v in records]
+
+
+def _write_journal(path, records, rotate=False) -> int:
+    """Journal ``records`` (then seal them into a segment and journal
+    one more batch, with ``rotate``); returns where the final frame of
+    ``records`` starts."""
+    journal = IngestJournal(path)
+    for record in records[:-1]:
+        journal.append_batch(*record)
+    final_start = path.stat().st_size
+    journal.append_batch(*records[-1])
+    if rotate:
+        journal.rotate()
+        journal.append_batch("web", "cpu", [1.0], [1.0])
+    journal.close()
+    return final_start
+
+
+class TestJournalFormatProperties:
+    """Torn versus corrupt, over generated records and every offset."""
+
+    @given(_records)
+    @settings(max_examples=25, deadline=None)
+    def test_torn_final_frame_is_forgiven_and_repaired(self, records):
+        extra = ("web", "cpu", [1.0, 2.0], [-0.0, 5e-324])
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "ingest.journal"
+            final_start = _write_journal(path, records)
+            data = path.read_bytes()
+            assert data[final_start:] == _frame(*records[-1])
+            assert _bits(replay_journal(path)) == _bits(records)
+            for cut in range(final_start, len(data)):
+                path.write_bytes(data[:cut])
+                assert _bits(replay_journal(path)) \
+                    == _bits(records[:-1])
+                resumed = IngestJournal(path)
+                assert path.stat().st_size == final_start
+                resumed.append_batch(*extra)
+                resumed.close()
+                assert _bits(replay_journal(path)) \
+                    == _bits([*records[:-1], extra])
+
+    @given(_records, st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_flipped_byte_before_final_frame_raises(self, records, data):
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "ingest.journal"
+            final_start = _write_journal(path, records)
+            raw = bytearray(path.read_bytes())
+            offset = data.draw(st.integers(0, final_start - 1))
+            raw[offset] ^= data.draw(st.integers(1, 255))
+            path.write_bytes(bytes(raw))
+            with pytest.raises(ValueError):
+                list(replay_journal(path))
+            with pytest.raises(ValueError):
+                IngestJournal(path)
+            assert path.read_bytes() == bytes(raw)
+
+    @given(_records, st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_torn_rotated_segment_raises(self, records, data):
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "ingest.journal"
+            final_start = _write_journal(path, records, rotate=True)
+            (segment,) = journal_segments(path)
+            raw = segment.read_bytes()
+            segment.write_bytes(
+                raw[:data.draw(st.integers(final_start + 1,
+                                           len(raw) - 1))])
+            with pytest.raises(ValueError, match="torn"):
+                list(replay_journal(path))
 
 
 # ---------------------------------------------------------------------------
@@ -637,6 +840,15 @@ class TestCheckpointRestore:
         assert state["version"] == 1
         assert state["stats"]["windows"] == driver.engine.stats.windows
         assert state["previous"] is not None
+
+    def test_checkpoint_bytes_are_sorted_json_dumps(self, checkpointed):
+        tmp, _config, driver = checkpointed
+        spec = {"mode": "stream", "seed": 3}
+        save_checkpoint(driver.engine, tmp / "pinned.ckpt", spec=spec)
+        expected = json.dumps(checkpoint_state(driver.engine, spec=spec),
+                              sort_keys=True)
+        assert (tmp / "pinned.ckpt").read_bytes() \
+            == expected.encode("utf-8")
 
     def test_restore_rebuilds_rings_and_state(self, checkpointed):
         tmp, config, driver = checkpointed

@@ -221,11 +221,23 @@ def _reference_rollup(t, v, resolution):
     )
 
 
-_series = st.lists(
-    st.tuples(st.integers(0, 100_000),
-              st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)),
-    min_size=1, max_size=200,
-).map(lambda rows: sorted(rows))
+def _rows(values):
+    return st.lists(
+        st.tuples(st.integers(0, 100_000), values),
+        min_size=1, max_size=200,
+    ).map(lambda rows: sorted(rows))
+
+
+_series = _rows(
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
+# A subnormal mean has too few significant bits for a relative bound:
+# the 60 s mean of (0, 5e-324) is not representable, so re-rolling it
+# can land one ulp from the direct mean.  Nesting is checked against a
+# relative bound on normal floats and an absolute ulp on subnormals.
+_normal_series = _rows(
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False,
+              allow_subnormal=False))
+_subnormal_series = _rows(st.floats(-1e-310, 1e-310))
 
 
 class TestRollupArrays:
@@ -273,11 +285,8 @@ class TestRollupArrays:
         assert np.array_equal(out[3], v + 1.0)
         assert np.array_equal(out[4], n)
 
-    @given(_series)
-    @settings(max_examples=60, deadline=None)
-    def test_re_roll_equals_direct_rollup(self, rows):
-        """Rolling at 60 s then re-rolling those buckets at 600 s must
-        reproduce a direct 600 s rollup (nesting resolutions)."""
+    @staticmethod
+    def _re_roll_and_direct(rows):
         t = np.array([r[0] for r in rows], dtype=float) / 4.0
         v = np.array([r[1] for r in rows], dtype=float)
         fine = rollup_arrays(t, v, resolution=60.0)
@@ -287,7 +296,31 @@ class TestRollupArrays:
         assert np.array_equal(re_rolled[2], direct[2])
         assert np.array_equal(re_rolled[3], direct[3])
         assert np.array_equal(re_rolled[4], direct[4])
-        np.testing.assert_allclose(re_rolled[1], direct[1], rtol=1e-9)
+        return re_rolled[1], direct[1]
+
+    @given(_normal_series)
+    @settings(max_examples=60, deadline=None)
+    def test_re_roll_equals_direct_rollup(self, rows):
+        """Rolling at 60 s then re-rolling those buckets at 600 s must
+        reproduce a direct 600 s rollup (nesting resolutions)."""
+        re_rolled, direct = self._re_roll_and_direct(rows)
+        np.testing.assert_allclose(re_rolled, direct, rtol=1e-9)
+
+    @given(_subnormal_series)
+    @settings(max_examples=60, deadline=None)
+    def test_re_roll_of_subnormals_is_within_one_ulp(self, rows):
+        """Subnormal sums and integer-weighted products are exact, so
+        only the two mean roundings differ: at most one ulp apart."""
+        re_rolled, direct = self._re_roll_and_direct(rows)
+        assert np.all(np.abs(re_rolled - direct) <= 5e-324)
+
+    def test_re_roll_of_unrepresentable_subnormal_mean(self):
+        # The fine 60 s mean of (0, 5e-324) rounds to 0, so the re-roll
+        # is one ulp below the direct 600 s mean.
+        re_rolled, direct = self._re_roll_and_direct(
+            [(2400, 0.0), (2400, 5e-324), (2640, 5e-324)])
+        assert np.array_equal(direct, [5e-324])
+        assert np.array_equal(re_rolled, [0.0])
 
     def test_empty_input(self):
         out = rollup_arrays(np.empty(0), np.empty(0), resolution=60.0)

@@ -182,6 +182,29 @@ class TestDecodeText:
             decode_payload("application/json", b"[]",
                            seq_header="not-a-number")
 
+    def test_names_the_journal_cannot_frame_are_refused(self):
+        # The journal frames names with u16 byte lengths; a longer name
+        # must be a 400, not a batch that can never be journaled.
+        fits, long = "é" * (0xFFFF // 2), "é" * (0xFFFF // 2 + 1)
+        payloads = [
+            {"component": "{}", "metric": "m",
+             "times": [1.0], "values": [1.0]},
+            {"component": "a", "metric": "{}",
+             "times": [1.0], "values": [1.0]},
+            {"component": "a", "time": 1.0, "metrics": {"{}": 1.0}},
+        ]
+        for payload in payloads:
+            def body(name, payload=payload):
+                return json.dumps([json.loads(
+                    json.dumps(payload).replace("{}", name))]).encode()
+
+            decode_payload("application/json", body(fits))
+            with pytest.raises(IngestError, match="bytes of UTF-8"):
+                decode_payload("application/json", body(long))
+        with pytest.raises(IngestError, match="bytes of UTF-8"):
+            decode_payload("text/plain", (
+                f'cpu{{component="{long}"}} 1.0 2.0\n').encode())
+
     def test_millisecond_unit_header_rescales_timestamps(self):
         # Prometheus-native senders stamp milliseconds since epoch;
         # X-Repro-Time-Unit: ms brings them onto the seconds axis.

@@ -3,6 +3,8 @@ streaming-vs-batch convergence, live consumers)."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.causality.depgraph import edge_jaccard
 from repro.core import StreamingConfig
@@ -26,6 +28,51 @@ from repro.autoscaling import ScalingRule
 from repro.workload import constant_rate
 
 KEY = MetricKey("comp", "metric")
+
+_ring_times = st.one_of(st.floats(-60.0, 60.0), st.sampled_from(
+    [float("inf"), float("-inf"), 0.0, -0.0]))
+
+
+class _ReferenceRing:
+    """:meth:`RingSeries.extend`'s contract on plain lists, searching
+    for stale samples on every write (the test oracle)."""
+
+    def __init__(self, retention, max_points):
+        self.retention = retention
+        self.max_points = max_points
+        self.times: list = []
+        self.values: list = []
+        self.evicted = 0
+
+    def extend(self, times, values):
+        t = np.asarray(times, dtype=float).reshape(-1)
+        v = np.asarray(values, dtype=float).reshape(-1)
+        if t.size != v.size:
+            raise ValueError("times and values must have equal length")
+        if t.size == 0:
+            return
+        with np.errstate(invalid="ignore"):  # inf - inf
+            unordered = np.any(np.diff(t) < 0)
+        if unordered:
+            raise ValueError("ring writes require non-decreasing times")
+        if self.times and t[0] < self.times[-1]:
+            raise ValueError(
+                f"out-of-order ring write at t={t[0]} "
+                f"(last t={np.float64(self.times[-1])})"
+            )
+        if t.size > self.max_points:
+            self.evicted += t.size - self.max_points
+            t, v = t[-self.max_points:], v[-self.max_points:]
+        cutoff = t[-1] - self.retention
+        old = int(np.searchsorted(np.asarray(self.times, dtype=float),
+                                  cutoff, side="left"))
+        stale = int(np.searchsorted(t, cutoff, side="left"))
+        overflow = max(len(self.times) - old + t.size - stale
+                       - self.max_points, 0)
+        self.evicted += old + stale + overflow
+        del self.times[:old + overflow], self.values[:old + overflow]
+        self.times += t[stale:].tolist()
+        self.values += v[stale:].tolist()
 
 
 def _spec(name, shift=False, **kwargs):
@@ -112,6 +159,46 @@ class TestRingSeries:
             t += 1.0
         assert len(ring) <= 128
         assert ring._times.size <= 2 * 128  # buffer itself stays bounded
+
+    @given(st.floats(0.5, 40.0), st.integers(8, 24), st.lists(
+        st.tuples(
+            # Mostly runs continuing from the previous write (a jump
+            # back, then non-negative gaps), sometimes raw times.
+            st.one_of(
+                st.tuples(st.floats(-3.0, 12.0),
+                          st.lists(st.floats(0.0, 4.0), max_size=12)),
+                st.lists(_ring_times, max_size=4),
+            ),
+            st.sampled_from([0, 0, 0, 0, -1, 1]),
+        ), max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_extend_matches_the_reference(self, retention, max_points,
+                                          writes):
+        # Every write -- accepted, trimmed or refused -- leaves the ring
+        # exactly where the always-searching reference leaves it.
+        ring = RingSeries(KEY, retention=retention, max_points=max_points)
+        reference = _ReferenceRing(retention, max_points)
+        last = 0.0
+        for index, (shape, skew) in enumerate(writes):
+            if isinstance(shape, tuple):
+                jump, gaps = shape
+                times = (last + jump + np.cumsum(gaps)).tolist()
+            else:
+                times = shape
+            last = times[-1] if times and np.isfinite(times[-1]) else last
+            values = [index + 0.5 * k for k in range(len(times) + skew)]
+            outcomes = []
+            for target in (ring, reference):
+                try:
+                    target.extend(times, values)
+                    outcomes.append(None)
+                except ValueError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
+            assert ring.times.tobytes() \
+                == np.asarray(reference.times, dtype=float).tobytes()
+            assert ring.values.tolist() == reference.values
+            assert ring.evicted == reference.evicted
 
 
 class TestWindowStore:
