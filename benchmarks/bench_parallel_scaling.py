@@ -1,4 +1,4 @@
-"""Parallel window-analysis scaling: executors, shm transport, SBD.
+"""Parallel window-analysis scaling: executors and the SBD kernel.
 
 Sizes the tentpole of the parallel subsystem: wall-clock of one full
 window analysis (per-component reduce + re-cluster + dependency
@@ -9,22 +9,14 @@ path is the largest component, so speedup saturates near
 (``cpus: 1`` in the output) a process pool cannot beat serial at all;
 read the numbers together with the recorded core count.
 
-The ``shm`` strategies are routed through a shared-memory-homed
-:class:`~repro.streaming.window.WindowStore` (ingest -> snapshot),
-exactly the engine's path, so the timing covers the zero-copy
-descriptor transport rather than staged copies.  A separate
-microbenchmark times the batched SBD kernel against the per-pair
-reference on the re-cluster hot shape (64 series x 240 points).
-
-Also measures the concurrent-ingest win: seconds the *ingest path*
-spends blocked inside backend writes, sync vs the batching writer
-thread -- the writer's point is unblocking the bus, which holds even
-on one core.
+A separate microbenchmark times the batched SBD kernel against a
+per-pair loop over the reference :func:`~repro.stats.correlation.sbd`
+on the re-cluster hot shape (64 series x 240 points).
 
 Writes ``BENCH_parallel.json`` with the headline numbers; CI uploads
 it and ``benchmarks/check_regression.py`` gates it against the
 committed baseline (including the ``_gates`` absolute floors, e.g.
-``speedup_shm@4 >= 1.5`` on hosts with four or more cores).
+``speedup_process@4 >= 1.5`` on hosts with four or more cores).
 """
 
 import json
@@ -34,13 +26,11 @@ import time
 import numpy as np
 
 from repro.metrics.timeseries import MetricFrame, MetricKey, TimeSeries
-from repro.parallel import BatchingWriter, make_executor
-from repro.persistence import SqliteBackend
+from repro.parallel import make_executor
 from repro.core import StreamingConfig
-from repro.stats.correlation import sbd_matrix, use_reference_kernel
+from repro.stats.correlation import sbd, sbd_matrix
 from repro.stats.timeseries_ops import znormalize
 from repro.streaming import WindowAnalyzer
-from repro.streaming.window import WindowStore
 from repro.tracing.callgraph import CallGraph
 
 from conftest import print_table
@@ -49,8 +39,7 @@ from conftest import print_table
 COMPONENT_COUNTS = (4, 8)
 
 #: (kind, workers) strategies the sweep times.
-STRATEGIES = (("serial", 1), ("thread", 2), ("process", 2),
-              ("process", 4), ("shm", 2), ("shm", 4))
+STRATEGIES = (("serial", 1), ("process", 2), ("process", 4))
 
 METRICS_PER_COMPONENT = 12
 POINTS_PER_SERIES = 240
@@ -104,34 +93,16 @@ def test_executor_scaling():
         reference = None
         for kind, workers in STRATEGIES:
             executor = make_executor(kind, workers)
-            store = None
-            run_frame = frame
-            if kind == "shm":
-                # Route the frame through a shared-memory-homed
-                # WindowStore (the engine's path), so the timed
-                # analysis ships window arrays as descriptors.
-                store = WindowStore(
-                    retention=1e9,
-                    max_points_per_series=POINTS_PER_SERIES,
-                )
-                for ts in frame:
-                    store.ingest(ts.key.component, ts.key.metric,
-                                 ts.times, ts.values)
-                store.attach_shm_pool(executor.segments)
             analyzer = WindowAnalyzer(config=StreamingConfig(),
                                       seed=11, executor=executor)
             # One warm-up pass pays pool spin-up outside the timing
             # (pools are reused across windows in the engine too).
             if kind != "serial":
                 executor.map(_identity, [0, 1])
-            if store is not None:
-                run_frame = store.snapshot()
             t0 = time.perf_counter()
-            analysis = analyzer.analyze(run_frame, graph, 0.0, span,
+            analysis = analyzer.analyze(frame, graph, 0.0, span,
                                         index=0)
             elapsed = time.perf_counter() - t0
-            if store is not None:
-                store.detach_shm()
             executor.close()
             label = "serial" if kind == "serial" \
                 else f"{kind}@{workers}"
@@ -150,14 +121,12 @@ def test_executor_scaling():
         _results[f"components_{components}"] = entry
         rows.append([components] + [round(v, 3)
                                     for v in timings.values()]
-                    + [round(serial_s / timings["process@4"], 2),
-                       round(serial_s / timings["shm@4"], 2)])
+                    + [round(serial_s / timings["process@4"], 2)])
 
     print_table(
         f"Window-analysis scaling ({os.cpu_count()} cores)",
-        ["components", "serial s", "thread@2 s", "process@2 s",
-         "process@4 s", "shm@2 s", "shm@4 s", "speedup p@4",
-         "speedup shm@4"],
+        ["components", "serial s", "process@2 s", "process@4 s",
+         "speedup p@4"],
         rows,
     )
     if (os.cpu_count() or 1) >= 4:
@@ -165,15 +134,14 @@ def test_executor_scaling():
         # physically deliver them (CI perf-gate runners have >= 4
         # cores); single-core hosts record cpus=1 and the regression
         # gate downgrades the floor to a warning.
-        for label in ("process@4", "shm@4"):
-            speedup = _results["components_8"][f"speedup_{label}"]
-            assert speedup >= 1.5, (
-                f"{label} speedup {speedup} < 1.5x on a multi-core host"
-            )
+        speedup = _results["components_8"]["speedup_process@4"]
+        assert speedup >= 1.5, (
+            f"process@4 speedup {speedup} < 1.5x on a multi-core host"
+        )
 
 
 def test_sbd_kernel_batching():
-    """Batched SBD matrix vs the per-pair reference loops.
+    """Batched SBD matrix vs a per-pair loop over the reference.
 
     The re-cluster hot shape: 64 z-normalized series of 240 points.
     The batched kernel does one ``rfft`` over the stacked rows and one
@@ -193,10 +161,12 @@ def test_sbd_kernel_batching():
     batched = sbd_matrix(series)
     batched_s = time.perf_counter() - t0
 
-    with use_reference_kernel():
-        t0 = time.perf_counter()
-        reference = sbd_matrix(series)
-        reference_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    reference = np.zeros((n_series, n_series))
+    for i in range(n_series):
+        for j in range(i + 1, n_series):
+            reference[i, j] = reference[j, i] = sbd(series[i], series[j])
+    reference_s = time.perf_counter() - t0
 
     assert np.allclose(batched, reference, atol=1e-10)
     speedup = reference_s / max(batched_s, 1e-9)
@@ -214,56 +184,6 @@ def test_sbd_kernel_batching():
     )
     # Single-threaded win, so this holds on any host (acceptance bar).
     assert speedup >= 2.0, f"batched SBD speedup {speedup} < 2x"
-
-
-def test_writer_ingest_blocking(tmp_path):
-    """Seconds the ingest path spends blocked in durable writes."""
-    rng = np.random.default_rng(3)
-    n_series, batches, batch_points = 32, 80, 50
-    values = rng.random((n_series, batches * batch_points))
-
-    def ingest(backend) -> float:
-        blocked = 0.0
-        for b in range(batches):
-            lo = b * batch_points
-            t = 0.5 * np.arange(lo, lo + batch_points, dtype=float)
-            for s in range(n_series):
-                t0 = time.perf_counter()
-                backend.write(f"component_{s % 8}", f"metric_{s}",
-                              t, values[s, lo:lo + batch_points])
-                blocked += time.perf_counter() - t0
-        return blocked
-
-    sync = SqliteBackend(tmp_path / "sync.db")
-    sync_blocked = ingest(sync)
-    sync.flush()
-    sync.close()
-
-    inner = SqliteBackend(tmp_path / "async.db")
-    writer = BatchingWriter(inner, max_batches=4096)
-    async_blocked = ingest(writer)
-    t0 = time.perf_counter()
-    writer.flush()
-    drain_s = time.perf_counter() - t0
-    assert writer.sample_count() == n_series * batches * batch_points
-    writer.close()
-
-    speedup = sync_blocked / max(async_blocked, 1e-9)
-    _results["writer"] = {
-        "sync_ingest_blocked_s": round(sync_blocked, 4),
-        "async_ingest_blocked_s": round(async_blocked, 4),
-        "async_drain_s": round(drain_s, 4),
-        "ingest_unblock_speedup": round(speedup, 2),
-    }
-    print_table(
-        "Concurrent-ingest writer (ingest-path blocking)",
-        ["path", "blocked s"],
-        [["sync backend", round(sync_blocked, 4)],
-         ["async writer", round(async_blocked, 4)]],
-    )
-    # Handing writes to the writer thread must cost the ingest path
-    # less than doing the writes inline costs it.
-    assert async_blocked < sync_blocked
 
     with open(RESULTS_PATH, "w") as fh:
         json.dump(_results, fh, indent=2)

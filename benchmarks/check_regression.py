@@ -11,15 +11,15 @@ regression without blocking on runner noise.
 Two kinds of gate run per file:
 
 * **Relative** -- every metric key shared with the baseline, classified
-  by suffix (lower-is-better: ``*_s``, ``*_ms``, ``*_seconds``,
-  ``*_blocked_s``; higher-is-better: ``*_per_sec``, ``*_per_s``,
-  ``speedup*``; everything else is informational), fails when it moved
+  by suffix (lower-is-better: ``*_s``, ``*_ms``, ``*_seconds``;
+  higher-is-better: ``*_per_sec``, ``*_per_s``, ``speedup*``;
+  everything else is informational), fails when it moved
   more than ``--factor`` the wrong way.
 * **Absolute floors** -- a baseline may carry a ``_gates`` metadata
   block (keys starting with ``_`` are never treated as metrics)::
 
       "_gates": {
-        "components_8.speedup_shm@4":
+        "components_8.speedup_process@4":
           {"floor": 1.5, "higher_is_better": true, "min_cpus": 4}
       }
 
@@ -44,7 +44,7 @@ import json
 import sys
 from pathlib import Path
 
-LOWER_IS_BETTER = ("_s", "_ms", "_seconds", "_blocked_s")
+LOWER_IS_BETTER = ("_s", "_ms", "_seconds")
 HIGHER_IS_BETTER = ("_per_sec", "_per_s")
 
 

@@ -1,31 +1,23 @@
-"""Parallel sharded analysis and concurrent ingest, end to end.
+"""Parallel sharded analysis, end to end.
 
 The streaming engine fans per-component window work (re-reduce +
-re-cluster, drift shape checks) out to a shard executor, and can put
-a batching writer thread in front of its durable backend so the
-ingestion bus never blocks on writes.  This walkthrough:
+re-cluster, drift shape checks) out to a shard executor.  This
+walkthrough:
 
-1. streams the same co-simulated chain under the ``serial``,
-   ``thread`` and ``process`` executors and shows the analyses are
-   identical (distribution policy never changes the result);
-2. streams with an async :class:`~repro.parallel.writer
-   .BatchingWriter` in front of a sqlite backend and shows the
-   ingest path's writer counters;
-3. prints per-strategy wall-clock so the dispatch-overhead trade-off
-   is visible (on a single-core host the pools cannot win -- see the
+1. streams the same co-simulated chain under the ``serial`` and
+   ``process`` executors and shows the analyses are identical
+   (distribution policy never changes the result);
+2. prints per-strategy wall-clock so the dispatch-overhead trade-off
+   is visible (on a single-core host the pool cannot win -- see the
    README's "Scaling" section for sizing guidance).
 
 Run with:  PYTHONPATH=src python examples/parallel_stream.py
 """
 
-import tempfile
 import time
-from pathlib import Path
 
 from repro.causality.depgraph import edge_jaccard
 from repro.core import StreamingConfig
-from repro.parallel import BatchingWriter
-from repro.persistence import SqliteBackend
 from repro.simulator import (
     Application,
     CallSpec,
@@ -51,11 +43,10 @@ def build_app() -> Application:
     ])
 
 
-def stream(executor: str, store_backend=None):
+def stream(executor: str):
     config = StreamingConfig(window=20.0, hop=10.0, retention=120.0,
                              executor=executor, executor_workers=2)
-    engine = StreamingSieve(config=config, seed=3, application="demo",
-                            store_backend=store_backend)
+    engine = StreamingSieve(config=config, seed=3, application="demo")
     driver = SimulationStreamDriver(build_app(), constant_rate(40.0),
                                     config=config, seed=3,
                                     record_frame=False, engine=engine)
@@ -67,32 +58,19 @@ def stream(executor: str, store_backend=None):
 
 
 def main() -> None:
-    # 1. Distribution policy never changes the analysis.
+    # Distribution policy never changes the analysis.
     reference, serial_s = stream("serial")
     print(f"serial : {len(reference)} windows in {serial_s:.2f}s")
-    for executor in ("thread", "process"):
-        windows, elapsed = stream(executor)
-        assert len(windows) == len(reference)
-        for mine, ref in zip(windows, reference):
-            assert mine.reclustered == ref.reclustered
-            jaccard = edge_jaccard(mine.dependency_graph,
-                                   ref.dependency_graph,
-                                   level="metric")
-            assert jaccard == 1.0
-        print(f"{executor:<7}: identical windows in {elapsed:.2f}s "
-              f"(edge Jaccard 1.0 vs serial)")
-
-    # 2. Concurrent ingest: the bus hands durable writes to a
-    #    dedicated thread and never blocks on sqlite.
-    with tempfile.TemporaryDirectory() as tmp:
-        writer = BatchingWriter(SqliteBackend(Path(tmp) / "run.db"))
-        windows, elapsed = stream("serial", store_backend=writer)
-        stats = writer.stats
-        print(f"\nasync writer: {len(windows)} windows in "
-              f"{elapsed:.2f}s while the writer thread made "
-              f"{stats.points_written} points durable "
-              f"(peak queue depth {stats.max_queue_depth})")
-        writer.close()
+    windows, elapsed = stream("process")
+    assert len(windows) == len(reference)
+    for mine, ref in zip(windows, reference):
+        assert mine.reclustered == ref.reclustered
+        jaccard = edge_jaccard(mine.dependency_graph,
+                               ref.dependency_graph,
+                               level="metric")
+        assert jaccard == 1.0
+    print(f"process: identical windows in {elapsed:.2f}s "
+          f"(edge Jaccard 1.0 vs serial)")
 
 
 if __name__ == "__main__":

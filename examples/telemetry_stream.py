@@ -2,7 +2,7 @@
 
 The streaming engine can observe *itself* the way it observes the
 application under study: counters and histograms for every hot path
-(bus flushes, ring appends, re-cluster fan-outs, writer queues),
+(bus flushes, ring appends, re-cluster fan-outs, journal writes),
 per-window span traces that break each analyzed window into its
 phases, and a health surface an orchestrator can probe.  This
 walkthrough:

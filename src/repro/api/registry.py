@@ -182,20 +182,6 @@ def _serial_executor(workers: int | None = None) -> Any:
     return ShardExecutor()
 
 
-@EXECUTORS.register("thread")
-def _thread_executor(workers: int | None = None) -> Any:
-    from repro.parallel.executor import (
-        ShardExecutor,
-        ThreadShardExecutor,
-        default_workers,
-    )
-
-    resolved = workers or default_workers()
-    # A one-worker pool cannot overlap anything; fall back to serial.
-    return ShardExecutor() if resolved == 1 \
-        else ThreadShardExecutor(resolved)
-
-
 @EXECUTORS.register("process")
 def _process_executor(workers: int | None = None) -> Any:
     from repro.parallel.executor import (
@@ -205,19 +191,9 @@ def _process_executor(workers: int | None = None) -> Any:
     )
 
     resolved = workers or default_workers()
+    # A one-worker pool cannot overlap anything; fall back to serial.
     return ShardExecutor() if resolved == 1 \
         else ProcessShardExecutor(resolved)
-
-
-@EXECUTORS.register("shm")
-def _shm_executor(workers: int | None = None) -> Any:
-    """Process shards with zero-copy shared-memory array transport."""
-    from repro.parallel.executor import ShardExecutor, default_workers
-    from repro.parallel.shm import ShmShardExecutor
-
-    resolved = workers or default_workers()
-    return ShardExecutor() if resolved == 1 \
-        else ShmShardExecutor(resolved)
 
 
 # -- built-in drift detectors ---------------------------------------------

@@ -2,7 +2,7 @@
 
 ``build_pipeline(spec)`` resolves every policy named by the spec
 through the plugin registries -- application, workload, storage
-backend, writer, executor, drift detector, consumers -- wires them
+backend, executor, drift detector, consumers -- wires them
 together exactly once, and hands back a :class:`Session` whose
 ``run()`` executes the declared mode:
 
@@ -16,8 +16,8 @@ together exactly once, and hands back a :class:`Session` whose
 * ``rca`` / ``trace-overhead`` / ``catalog`` -- the paper's case-study
   utilities.
 
-Sessions are context managers; ``close()`` releases executors, drains
-asynchronous writers and closes backends.  Construction itself
+Sessions are context managers; ``close()`` releases executors and
+closes backends.  Construction itself
 acquires resources (truncates fresh journals, clears stale
 checkpoints, overwrites record targets) -- build a session only when
 you mean to run it.
@@ -82,14 +82,6 @@ class Session:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    def _writer_stats(self) -> dict | None:
-        """Counters of an asynchronous writer backend, if one is on."""
-        from repro.parallel.writer import BatchingWriter
-
-        if isinstance(self.backend, BatchingWriter):
-            return self.backend.stats.as_dict()
-        return None
-
     # -- maintenance ----------------------------------------------------
 
     def compact(self, retention: float | None = None) -> dict:
@@ -133,8 +125,7 @@ def _clear_backend_path(path: Path) -> None:
 
 
 def _open_storage(spec: RunSpec, fresh: bool) -> Any:
-    """Resolve the spec's durable backend (None when storage is off),
-    wrapped in the asynchronous writer when the spec says so."""
+    """Resolve the spec's durable backend (None when storage is off)."""
     storage = spec.storage
     if not storage.enabled:
         return None
@@ -143,17 +134,7 @@ def _open_storage(spec: RunSpec, fresh: bool) -> Any:
     options = dict(storage.options)
     if storage.schedule:
         options["schedule"] = storage.schedule
-    backend = BACKENDS.create(storage.kind, storage.path, **options)
-    if spec.streaming.writer == "async":
-        # The concurrent-ingest path: durable writes happen on a
-        # dedicated thread so ingestion never blocks on them.
-        from repro.parallel.writer import BatchingWriter
-
-        backend = BatchingWriter(
-            backend,
-            max_batches=spec.streaming.writer_queue_batches,
-        )
-    return backend
+    return BACKENDS.create(storage.kind, storage.path, **options)
 
 
 # -- batch pipeline --------------------------------------------------------
@@ -194,7 +175,6 @@ class StreamOutcome:
 
     analyses: list = field(repr=False)
     summary: dict
-    writer_stats: dict | None = None
     final: Any = field(default=None, repr=False)
     """Full-retention final analysis (``compare`` runs only)."""
 
@@ -248,11 +228,6 @@ class _EngineSession(Session):
             self._validate_resume(state)
 
         self.backend = _open_storage(spec, fresh=not spec.resume)
-        if self.telemetry.enabled and self.backend is not None:
-            from repro.parallel.writer import BatchingWriter
-
-            if isinstance(self.backend, BatchingWriter):
-                self.backend.attach_telemetry(self.telemetry)
         # A fresh (non-resume) run starts its journal over; appending
         # a second run's timeline onto an old journal would make any
         # later replay reject the restart of time as out-of-order.
@@ -375,21 +350,13 @@ class _EngineSession(Session):
     def _register_health_probes(self) -> None:
         """Wire the standard liveness probes into ``/healthz``.
 
-        Backpressure shedding on the bus, a failed or saturated
-        asynchronous writer, and a checkpoint falling behind its
-        cadence each flip the surface to 503.
+        Backpressure shedding on the bus and a checkpoint falling
+        behind its cadence each flip the surface to 503.
         """
-        from repro.obs.health import (
-            bus_probe,
-            checkpoint_probe,
-            writer_probe,
-        )
-        from repro.parallel.writer import BatchingWriter
+        from repro.obs.health import bus_probe, checkpoint_probe
 
         health = self.telemetry.health
         health.add_probe("bus", bus_probe(self._engine.bus))
-        if isinstance(self.backend, BatchingWriter):
-            health.add_probe("writer", writer_probe(self.backend))
         if self.policy is not None:
             health.add_probe("checkpoint",
                              checkpoint_probe(self.policy))
@@ -450,8 +417,6 @@ class _EngineSession(Session):
     def _close_impl(self) -> None:
         self._engine.close()
         if self.backend is not None:
-            # Drain the (possibly asynchronous) writer even on an
-            # interrupted run -- queued batches must reach disk.
             self.backend.close()
         # Stop the server before the journal: no request can reach
         # the bus (and append) once it is down.
@@ -515,7 +480,6 @@ class StreamSession(_EngineSession):
         outcome = StreamOutcome(
             analyses=analyses,
             summary=self.engine.summary(),
-            writer_stats=self._writer_stats(),
         )
         if self.spec.compare:
             final = self.driver.final_analysis()
@@ -542,7 +506,6 @@ class ServeOutcome:
     summary: dict
     service: dict
     url: str = ""
-    writer_stats: dict | None = None
 
 
 class ServeSession(_EngineSession):
@@ -634,7 +597,6 @@ class ServeSession(_EngineSession):
             summary=self._engine.summary(),
             service=self.service.summary(),
             url=self.url,
-            writer_stats=self._writer_stats(),
         )
 
     def _close_impl(self) -> None:
@@ -653,7 +615,6 @@ class RecordOutcome:
     path: str
     samples: int
     series: int
-    writer_stats: dict | None = None
 
 
 class RecordSession(Session):
@@ -707,7 +668,6 @@ class RecordSession(Session):
             path=spec.storage.path,
             samples=self.backend.sample_count(),
             series=self.backend.series_count(),
-            writer_stats=self._writer_stats(),
         )
 
 
@@ -951,16 +911,20 @@ class PipelineBuilder:
     def storage(self, kind: str, path: str = "",
                 retention: float = 0.0,
                 schedule: str = "",
-                writer: str | None = None,
+                writer: str = "sync",
                 **options: Any) -> "PipelineBuilder":
         from repro.api.spec import StorageSpec
 
+        # ``writer`` survives only because the e2e benchmark passes
+        # writer="sync"; drop it with that call site.
+        if writer != "sync":
+            raise ValueError(
+                f"the async writer was removed: the store backend is "
+                f"always written inline (writer={writer!r})")
         self._fields["storage"] = StorageSpec(
             kind=kind, path=str(path), retention=retention,
             schedule=schedule, options=options,
         )
-        if writer is not None:
-            self.streaming(writer=writer)
         return self
 
     def journal(self, path: str) -> "PipelineBuilder":

@@ -93,13 +93,11 @@ _FLAGS: dict[str, tuple] = {row[0]: row for row in (
      "also run the batch analysis and report streaming-vs-batch "
      "convergence"),
     ("--executor", "streaming.executor",
-     "where per-component analysis shards run (process = true "
-     "parallelism, shm = process with zero-copy shared-memory windows; "
-     "identical results to serial on the same seed; record runs no "
-     "analysis, so there it only matters to scripts sharing flags "
-     "with stream/replay)", EXECUTORS),
+     "where per-component analysis shards run (process = a process "
+     "pool, true parallelism; identical results to serial on the same "
+     "seed)", EXECUTORS),
     ("--workers", "streaming.executor_workers",
-     "pool size for thread/process/shm executors "
+     "pool size of the process executor "
      "(0 = all cores; 1 falls back to serial)", "N"),
     # analysis windows
     ("--window", "streaming.window", "analysis window span, seconds"),
@@ -137,10 +135,6 @@ _FLAGS: dict[str, tuple] = {row[0]: row for row in (
      "'1000s:full,4000s:1m,inf:10m' (full resolution for the newest "
      "1000s, then mean/min/max/count rollups; empty = full resolution "
      "everywhere)", "SCHEDULE"),
-    ("--writer", "streaming.writer",
-     "drive the durable backend inline (sync) or through a batching "
-     "writer thread (async) so ingest never blocks on durable writes",
-     ("sync", "async")),
     # record / replay name the same storage target differently
     ("--backend", "storage.kind", None, BACKENDS),
     ("--out", "storage.path",
@@ -180,8 +174,8 @@ _FLAGS: dict[str, tuple] = {row[0]: row for row in (
     # The one flag with no spec path: it paces cmd_stream's printing,
     # not the run, so it is parsed (an integer) and never written.
     ("--progress", None,
-     "print a backpressure progress line (bus shedding + writer "
-     "queue) every N windows (0 = off)", "N"),
+     "print a backpressure progress line (bus shedding) every N "
+     "windows (0 = off)", "N"),
 )}
 
 _COMMON = ("--seed", "--duration")
@@ -191,7 +185,7 @@ _WINDOW = ("--window", "--hop", "--retention", "--adaptive-hop",
            "--hop-min", "--hop-max")
 _PERSISTENCE = ("--journal", "--checkpoint", "--checkpoint-every",
                 "--resume", "--store", "--store-backend",
-                "--store-retention", "--store-schedule", "--writer")
+                "--store-retention", "--store-schedule")
 _TELEMETRY = ("--telemetry", "--telemetry-port", "--telemetry-host")
 
 #: The flags of each mode, in ``--help`` order.
@@ -204,8 +198,7 @@ _MODE_FLAGS: dict[str, tuple[str, ...]] = {
               "--event-history", "--topology", *_WINDOW, *_PERSISTENCE,
               *_TELEMETRY, *_PARALLEL, *_COMMON),
     "record": ("--app", "--backend", "--out", *_WORKLOAD,
-               "--store-retention", "--store-schedule", "--writer",
-               *_PARALLEL, *_COMMON),
+               "--store-retention", "--store-schedule", *_COMMON),
     "replay": ("--backend", "--path", "--seed", *_PARALLEL),
     "rca": ("--iterations", "--threshold", *_COMMON),
     "trace-overhead": ("--requests", "--seed"),
@@ -399,19 +392,14 @@ def _print_window(analysis) -> None:
 
 
 def _progress_line(session) -> str:
-    """One backpressure line: bus shedding plus the writer queue."""
+    """One backpressure line: bus shedding."""
     engine = session.engine
     bus = engine.bus.stats
-    line = (f"progress: windows={engine.stats.windows} "
+    return (f"progress: windows={engine.stats.windows} "
             f"points={bus.points_flushed} "
             f"dropped={bus.overflow_dropped} "
             f"downsampled={bus.overflow_downsampled} "
             f"overflow_events={bus.overflow_events}")
-    writer = session.backend
-    if hasattr(writer, "pending_batches"):
-        line += (f" writer_queue={writer.pending_batches}"
-                 f"/{writer.queue_capacity}")
-    return line
 
 
 def cmd_stream(args) -> int:
@@ -452,9 +440,6 @@ def cmd_stream(args) -> int:
               f"dropped={bus.overflow_dropped} "
               f"downsampled={bus.overflow_downsampled} "
               f"overflow_events={bus.overflow_events}")
-        if outcome.writer_stats:
-            for key, value in outcome.writer_stats.items():
-                print(f"{key:>24}: {value}")
         if telemetry:
             phases = telemetry.get("phase_seconds") or {}
             line = "  ".join(f"{name}={seconds:.3f}s"
@@ -507,29 +492,17 @@ def cmd_serve(args) -> int:
             print(f"{key:>24}: {value}")
         for key, value in outcome.service.items():
             print(f"{'service ' + key:>24}: {value}")
-        if outcome.writer_stats:
-            for key, value in outcome.writer_stats.items():
-                print(f"{key:>24}: {value}")
     finally:
         session.close()
     return 0
 
 
 def cmd_record(args) -> int:
-    spec, session, code = _guarded(args, "record")
+    _spec, session, code = _guarded(args, "record")
     if code:
         return code
     try:
-        if spec.streaming.executor != "serial":
-            print("note: --executor has no effect on record "
-                  "(no analysis stage runs); see stream/replay")
         outcome = session.run()
-        if outcome.writer_stats:
-            stats = outcome.writer_stats
-            print(f"async writer: {stats['writer_batches_written']} "
-                  f"batches ({stats['writer_points_written']} points) "
-                  f"via writer thread, peak queue depth "
-                  f"{stats['writer_max_queue_depth']}")
         if getattr(args, "compact", False):
             for key, value in session.compact().items():
                 print(f"compact {key}: {value}")

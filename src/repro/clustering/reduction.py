@@ -129,9 +129,7 @@ def _prepare_series(
             continue
         # Read-only views: alignment and z-normalization allocate
         # their own outputs, so the copies the ``times``/``values``
-        # properties make would be pure overhead -- and on
-        # shared-memory shard workers the views are the zero-copy
-        # window reads the shm transport exists for.
+        # properties make would be pure overhead.
         kept[name] = (ts.times_view, ts.values_view)
     if not kept:
         return [], np.empty((0, 0)), filtered

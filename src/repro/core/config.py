@@ -145,26 +145,13 @@ class StreamingConfig:
     executor: str = "serial"
     """Shard-executor strategy for per-component window work
     (re-reduce + re-cluster, drift shape checks): ``"serial"`` runs
-    inline, ``"thread"`` on a thread pool, ``"process"`` on a process
-    pool (true parallelism), ``"shm"`` on a process pool with the
-    window rings homed in shared memory so payload arrays cross to
-    workers as descriptors instead of pickles (same clusterings as
-    serial on every strategy -- tested).  See
-    :mod:`repro.parallel.executor` and :mod:`repro.parallel.shm`."""
+    inline, ``"process"`` on a process pool (true parallelism; same
+    clusterings as serial -- tested).  See
+    :mod:`repro.parallel.executor`."""
 
     executor_workers: int = 0
-    """Pool size for the thread/process/shm executors (0 = all cores).
-    A pool sized at one worker falls back to the serial executor."""
-
-    writer: str = "sync"
-    """How a durable store backend is driven: ``"sync"`` writes on the
-    ingest path, ``"async"`` batches through a dedicated writer thread
-    (:class:`repro.parallel.writer.BatchingWriter`) so the bus never
-    blocks on durable writes."""
-
-    writer_queue_batches: int = 256
-    """Bound of the async writer's batch queue; a full queue blocks
-    the ingest path (backpressure) instead of growing unboundedly."""
+    """Pool size of the process executor (0 = all cores).  A pool
+    sized at one worker falls back to the serial executor."""
 
     journal_rotate_on_checkpoint: bool = True
     """Rotate the write-ahead ingest journal at checkpoint epochs and
@@ -230,7 +217,3 @@ class StreamingConfig:
             )
         if self.executor_workers < 0:
             raise ValueError("executor_workers must be >= 0")
-        if self.writer not in ("sync", "async"):
-            raise ValueError(f"unknown writer {self.writer!r}")
-        if self.writer_queue_batches < 1:
-            raise ValueError("writer_queue_batches must be >= 1")

@@ -52,13 +52,6 @@ class LintConfig:
         "PCG64", "Philox",
     )
 
-    # -- RL011: the zero-copy shm transport ------------------------------
-    shm_paths: tuple[str, ...] = (
-        "parallel/shm.py",
-    )
-    """Modules where arrays must travel as shm descriptors; any direct
-    ``pickle`` call re-introduces the multi-copy path."""
-
     # -- RL020: everything-through-the-registries ------------------------
     registry_only: dict[str, tuple[str, ...]] = field(default_factory=lambda: {
         # class name -> extra modules allowed to construct it (the
@@ -67,10 +60,7 @@ class LintConfig:
         "SqliteBackend": ("persistence/sqlite_backend.py",),
         "SpillBackend": ("persistence/spill.py",),
         "ShardExecutor": ("parallel/executor.py",),
-        "ThreadShardExecutor": ("parallel/executor.py",),
         "ProcessShardExecutor": ("parallel/executor.py",),
-        "ShmShardExecutor": ("parallel/shm.py",),
-        "BatchingWriter": ("parallel/writer.py", "api/session.py"),
     })
     """Classes that must be built via :mod:`repro.api.registry` (or a
     factory next to their definition), never constructed ad hoc."""

@@ -1,7 +1,7 @@
 """Architecture rules: registry wiring, frozen specs, output edges.
 
 The ROADMAP north star is everything-through-the-registries: policy
-objects (backends, executors, writers) are named by strings and built
+objects (backends, executors) are named by strings and built
 by :mod:`repro.api.registry` factories, specs are immutable value
 objects, and user-facing output happens at the CLI edge only.  These
 rules make those conventions machine-checked instead of review-time
@@ -27,7 +27,7 @@ class RegistryOnlyRule(Rule):
     id = "RL020"
     name = "registry-only"
     description = (
-        "backends/executors/writers must be built through "
+        "backends/executors must be built through "
         "repro.api.registry factories (or a factory in their defining "
         "module), never constructed ad hoc at call sites"
     )

@@ -1,10 +1,9 @@
-"""Determinism rules for the analysis core and the shm transport.
+"""Determinism rules for the analysis core.
 
-The repo's headline property is bit-identical windows across
-serial/thread/process/shm executors and across crash/resume.  Every
+The repo's headline property is bit-identical windows across the
+serial and process executors and across crash/resume.  Every
 wall-clock read, unseeded RNG draw, or set-iteration order leak in
-the analysis path silently spends that guarantee; every pickle of an
-array in the shm path silently spends the zero-copy one.
+the analysis path silently spends that guarantee.
 """
 
 from __future__ import annotations
@@ -130,40 +129,3 @@ class DeterminismRule(Rule):
                 ),
             )
 
-
-@register_rule
-class NoPickleOfArraysRule(Rule):
-    """RL011: the shm transport never pickles payloads."""
-
-    id = "RL011"
-    name = "no-pickle-of-arrays"
-    description = (
-        "the shared-memory executor path moves arrays as ArrayRef "
-        "descriptors; a direct pickle call re-introduces the "
-        "multi-copy serialization the subsystem exists to avoid"
-    )
-
-    def check_file(self, ctx: FileContext, config: LintConfig,
-                   project: ProjectContext) -> Iterable[Finding]:
-        if not path_matches(ctx.path, config.shm_paths):
-            return
-        imports = ImportMap(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            resolved = imports.resolve(node.func)
-            if resolved is None:
-                continue
-            if resolved.startswith(("pickle.", "cPickle.", "marshal.")) \
-                    and resolved.split(".", 1)[1] in (
-                        "dumps", "loads", "dump", "load"):
-                yield Finding(
-                    path=ctx.path, line=node.lineno,
-                    col=node.col_offset, rule=self.id,
-                    symbol=ctx.symbol_at(node.lineno),
-                    message=(
-                        f"'{resolved}()' in the shm transport path: "
-                        f"ship ArrayRef descriptors, not serialized "
-                        f"arrays"
-                    ),
-                )

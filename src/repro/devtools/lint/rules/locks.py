@@ -1,7 +1,7 @@
 """Lock-discipline rules: guarded-by, blocking-under-lock, lock order.
 
-These encode the concurrency contracts the service and writer tests
-pin down dynamically -- here they become structural: a field annotated
+These encode the concurrency contracts the service tests pin down
+dynamically -- here they become structural: a field annotated
 ``# guarded-by: <lock>`` may only be touched under ``with
 self.<lock>``, nothing that can block the world may run while any
 lock is held, and the static lock-acquisition graph must stay acyclic.

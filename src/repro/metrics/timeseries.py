@@ -55,25 +55,6 @@ class TimeSeries:
             raise ValueError("times must be non-decreasing")
         self._n = int(self._times.size)
 
-    @classmethod
-    def wrap(cls, key: MetricKey, times: np.ndarray,
-             values: np.ndarray) -> "TimeSeries":
-        """Adopt pre-validated arrays without copying them.
-
-        The zero-copy constructor of the shared-memory shard transport
-        (:mod:`repro.parallel.shm`): workers rebuild window series as
-        views straight into shared segments.  The caller vouches that
-        the arrays are equal-length float64 with non-decreasing times
-        (they were validated when the ring ingested them); the wrapped
-        series must be treated as read-only.
-        """
-        ts = cls.__new__(cls)
-        ts.key = key
-        ts._times = times
-        ts._values = values
-        ts._n = int(times.size)
-        return ts
-
     def _grow(self, extra: int) -> None:
         """Ensure capacity for ``extra`` more samples."""
         need = self._n + extra

@@ -28,12 +28,7 @@ from repro.obs.exposition import (
     render_prometheus,
     snapshot,
 )
-from repro.obs.health import (
-    HealthModel,
-    bus_probe,
-    checkpoint_probe,
-    writer_probe,
-)
+from repro.obs.health import HealthModel, bus_probe, checkpoint_probe
 from repro.obs.ingest import (
     IngestBatch,
     IngestError,
@@ -81,5 +76,4 @@ __all__ = [
     "render_analysis",
     "render_prometheus",
     "snapshot",
-    "writer_probe",
 ]

@@ -5,14 +5,12 @@
 restart policy) worry".  A :class:`HealthModel` holds named probe
 callables, each returning ``(ok, detail)``; the aggregate is healthy
 iff every probe passes.  Probes are evaluated at *request* time -- the
-model holds no cached state, so a recovered writer immediately reads
+model holds no cached state, so a recovered bus immediately reads
 healthy again.
 
-The engine wiring (:mod:`repro.api.session`) registers three standard
+The engine wiring (:mod:`repro.api.session`) registers two standard
 probes:
 
-* ``writer`` -- the async :class:`~repro.parallel.writer.BatchingWriter`
-  has not failed and its bounded queue is not pinned at capacity;
 * ``bus`` -- the ingestion bus is not shedding load (overflow drops
   since the last probe mean producers outrun the analysis);
 * ``checkpoint`` -- the newest checkpoint is not older than a
@@ -74,28 +72,6 @@ class HealthModel:
     def as_dict(self) -> dict:
         healthy, report = self.check()
         return {"healthy": healthy, "probes": report}
-
-
-def writer_probe(writer) -> Probe:
-    """Standard probe over a :class:`~repro.parallel.writer.BatchingWriter`.
-
-    Fails when the writer thread has captured a backend error (the
-    engine is running but nothing is durable any more) or when the
-    bounded queue sits at capacity (sustained backpressure: ingest has
-    outrun the backend and the next enqueue will block).
-    """
-
-    def probe() -> tuple[bool, str]:
-        if writer.failed:
-            return False, f"writer failed: {writer.error}"
-        depth = writer.pending_batches
-        capacity = writer.queue_capacity
-        if capacity and depth >= capacity:
-            return False, (f"writer queue saturated "
-                           f"({depth}/{capacity} batches)")
-        return True, f"queue {depth}/{capacity or 'unbounded'}"
-
-    return probe
 
 
 def bus_probe(bus) -> Probe:

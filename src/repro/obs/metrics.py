@@ -17,7 +17,7 @@ Two properties keep the disabled path near-zero-cost:
   costs one attribute lookup and an empty call);
 * *collector callbacks* (:meth:`TelemetryRegistry.add_collector`) move
   sampling of already-maintained stats structs (``BusStats``,
-  ``WriterStats``, ring counters) entirely to scrape time -- the hot
+  journal and ring counters) entirely to scrape time -- the hot
   path pays nothing at all for those families.
 
 Instruments support Prometheus-style labels: declare the label names

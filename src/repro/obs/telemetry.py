@@ -1,6 +1,6 @@
 """The per-engine telemetry facade: registry + tracer + health + export.
 
-One :class:`Telemetry` object travels with one engine (and its writer,
+One :class:`Telemetry` object travels with one engine (and its
 journal and checkpoint policy).  It is deliberately *not* a process
 singleton: tests and multi-engine processes get independent instrument
 tables and span histories, and a disabled instance

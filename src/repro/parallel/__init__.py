@@ -1,46 +1,29 @@
-"""Parallel sharded analysis: executors and the concurrent-ingest writer.
+"""Parallel sharded analysis: the shard executors.
 
 The streaming pipeline is agnostic to *where* its shards run (RAFDA's
 separation of application logic from distribution policy):
-
-* :mod:`repro.parallel.executor` -- :class:`ShardExecutor` strategies
-  (``serial`` / ``thread`` / ``process``) that fan per-component
-  window work (re-reduce + re-cluster, drift shape checks) out to
-  workers and merge results deterministically;
-* :mod:`repro.parallel.shm` -- the ``shm`` strategy: the process
-  fan-out with window arrays shipped as shared-memory descriptors
-  instead of pickles (:class:`ShmShardExecutor` + its
-  :class:`SegmentPool`);
-* :mod:`repro.parallel.writer` -- :class:`BatchingWriter`, a bounded
-  writer thread in front of a durable storage backend, so the
-  ingestion bus never blocks on durable writes.
+:mod:`repro.parallel.executor` holds the :class:`ShardExecutor`
+strategies -- ``serial`` (inline) and ``process`` (a process pool) --
+that fan per-component window work (re-reduce + re-cluster, drift
+shape checks) out to workers and merge results deterministically.
 
 Pick a strategy via :attr:`repro.core.config.StreamingConfig.executor`
-(or ``--executor`` on the CLI); ``serial == thread == process == shm``
-on the same seed is a tested invariant.
+(or ``--executor`` on the CLI); ``serial == process`` on the same seed
+is a tested invariant.
 """
 
 from repro.parallel.executor import (
     EXECUTOR_KINDS,
     ProcessShardExecutor,
     ShardExecutor,
-    ThreadShardExecutor,
     default_workers,
     make_executor,
 )
-from repro.parallel.shm import SegmentPool, ShmShardExecutor
-from repro.parallel.writer import BatchingWriter, WriterError, WriterStats
 
 __all__ = [
     "EXECUTOR_KINDS",
-    "BatchingWriter",
     "ProcessShardExecutor",
-    "SegmentPool",
     "ShardExecutor",
-    "ShmShardExecutor",
-    "ThreadShardExecutor",
-    "WriterError",
-    "WriterStats",
     "default_workers",
     "make_executor",
 ]

@@ -4,11 +4,9 @@ Sieve's windowed analysis is embarrassingly parallel across components:
 every component's re-reduce/re-cluster (and every drift shape check) is
 a pure function of that component's own samples and the run seed.  A
 :class:`ShardExecutor` pins down the *distribution policy* for that
-fan-out -- inline, a thread pool, a process pool, or a process pool
-with shared-memory array transport (:mod:`repro.parallel.shm`) --
-while the analysis pipeline stays oblivious to which one is plugged
-in (the RAFDA separation of application logic from distribution
-policy).
+fan-out -- inline or on a process pool -- while the analysis pipeline
+stays oblivious to which one is plugged in (the RAFDA separation of
+application logic from distribution policy).
 
 The contract every strategy honours:
 
@@ -20,20 +18,21 @@ The contract every strategy honours:
   between tasks.
 
 Because results are merged in submission order and every task is a
-pure seeded function, ``serial``, ``thread``, ``process`` and ``shm``
-produce bit-identical analyses (asserted by the determinism tests).
+pure seeded function, ``serial`` and ``process`` produce bit-identical
+analyses (asserted by the determinism tests).
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Iterable, Sequence
 
 #: Valid executor strategy names, in escalation order.
-EXECUTOR_KINDS = ("serial", "thread", "process", "shm")
+EXECUTOR_KINDS = ("serial", "process")
 
-#: Below this many payloads a pooled executor runs inline -- the fixed
+#: Below this many payloads the process executor runs inline -- the fixed
 #: dispatch cost (pickling, wakeups) dwarfs any overlap win.
 MIN_PARALLEL_PAYLOADS = 2
 
@@ -91,70 +90,42 @@ class ShardExecutor:
         }
 
 
-class _PooledExecutor(ShardExecutor):
-    """Shared plumbing of the thread/process strategies.
+class ProcessShardExecutor(ShardExecutor):
+    """Shards on a process pool -- true parallelism for CPU-bound work.
 
-    The pool is created lazily on first use and reused across windows
+    Task functions must be module-level and payloads picklable.  The
+    pool is created lazily on first use and reused across windows
     (worker warm-up is paid once per engine, not once per window).
     Batches smaller than :data:`MIN_PARALLEL_PAYLOADS` run inline.
+    Work is dispatched with ``chunksize=1`` so components spread
+    across workers even when their costs are skewed (the per-window
+    critical path is the largest component).
     """
 
-    #: Extra keyword arguments for the pool's ``map`` call.
-    _map_kwargs: dict = {}
+    kind = "process"
 
     def __init__(self, workers: int | None = None):
         super().__init__(workers or default_workers())
-        self._pool: Executor | None = None
-
-    def _make_pool(self) -> Executor:
-        raise NotImplementedError
+        self._pool: ProcessPoolExecutor | None = None
 
     def _run(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> list[Any]:
         if len(items) < MIN_PARALLEL_PAYLOADS:
             return [fn(item) for item in items]
         if self._pool is None:
-            self._pool = self._make_pool()
-        return list(self._pool.map(fn, items, **self._map_kwargs))
+            self._pool = ProcessPoolExecutor(max_workers=self.workers)
+        try:
+            return list(self._pool.map(fn, items, chunksize=1))
+        except BrokenProcessPool:
+            # A worker died mid-map.  Drop the broken pool so the next
+            # map starts a fresh one instead of failing forever.
+            self._pool.shutdown(wait=False)
+            self._pool = None
+            raise
 
     def close(self) -> None:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-
-
-class ThreadShardExecutor(_PooledExecutor):
-    """Shards on a thread pool.
-
-    Numpy kernels release the GIL only partially, so threads mostly pay
-    off when the per-shard work blocks (backend reads, I/O-bound
-    tasks); for pure re-clustering CPU work prefer ``process``.
-    """
-
-    kind = "thread"
-
-    def _make_pool(self) -> Executor:
-        return ThreadPoolExecutor(
-            max_workers=self.workers,
-            thread_name_prefix="repro-shard",
-        )
-
-
-class ProcessShardExecutor(_PooledExecutor):
-    """Shards on a process pool -- true parallelism for CPU-bound work.
-
-    Task functions must be module-level and payloads picklable.  Work
-    is dispatched with ``chunksize=1`` so components spread across
-    workers even when their costs are skewed (the per-window critical
-    path is the largest component).
-    """
-
-    kind = "process"
-
-    # chunksize=1 spreads skewed per-component costs across workers.
-    _map_kwargs = {"chunksize": 1}
-
-    def _make_pool(self) -> Executor:
-        return ProcessPoolExecutor(max_workers=self.workers)
 
 
 def make_executor(
@@ -167,7 +138,7 @@ def make_executor(
     (:data:`repro.api.registry.EXECUTORS`), so strategies registered
     via :func:`repro.api.register_executor` work exactly like the
     builtins.  ``workers=None`` (or 0) sizes pools to
-    :func:`default_workers`.  A builtin pooled strategy pinned to a
+    :func:`default_workers`.  The ``process`` strategy pinned to a
     single worker falls back to the serial executor: one worker cannot
     overlap anything, so the pool would only add dispatch and pickling
     overhead (the "pool-size-1 fallback" the tests pin down).

@@ -297,8 +297,7 @@ class CheckpointPolicy:
     Each checkpoint epoch also bounds the durable state around it:
 
     * the window store's backend is flushed *before* the checkpoint
-      lands (an asynchronous :class:`repro.parallel.writer
-      .BatchingWriter` drains its queue here), so every sample the
+      lands (the ``writer_flush`` span), so every sample the
       checkpoint covers is on disk -- the un-durable window is at most
       one epoch;
     * the write-ahead ingest journal is rotated *after* it, and

@@ -77,10 +77,10 @@ class SqliteBackend(BackendBase):
             schedule = RetentionSchedule.parse(schedule) \
                 if schedule else None
         self.schedule = schedule
-        # check_same_thread=False lets a dedicated writer thread (the
-        # concurrent-ingest BatchingWriter) own the write path while
-        # readers drain it first -- access is serialized in time by the
-        # callers, which is the documented contract for disabling the
+        # check_same_thread=False: in serve mode the HTTP handler
+        # threads write the store, not the thread that opened it.
+        # Access is serialized by the callers (the service lock),
+        # which is the documented contract for disabling the
         # same-thread guard.
         self._conn = sqlite3.connect(self.path, check_same_thread=False)
         if self.path != ":memory:":

@@ -31,16 +31,11 @@ Two implementations live here:
   bit-for-bit.  The batched path itself is deterministic (same shapes
   -> same bits), so clusterings are reproducible and identical across
   executors; the equivalence tests assert tight-tolerance agreement
-  with the reference plus fingerprint-identical clusterings.
-  :func:`use_reference_kernel` flips the batched entry points back
-  onto per-pair loops so benchmarks and tests can time/compare both
-  paths at unchanged call sites.
+  with per-pair loops over the reference plus fingerprint-identical
+  clusterings.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
-from typing import Iterator
 
 import numpy as np
 
@@ -51,7 +46,6 @@ __all__ = [
     "sbd_matrix",
     "sbd_pairs",
     "sbd_with_shift",
-    "use_reference_kernel",
 ]
 
 
@@ -125,29 +119,10 @@ def sbd(x: np.ndarray, y: np.ndarray) -> float:
 
 # -- the batched kernel ----------------------------------------------------
 
-#: Whether the batched entry points run the vectorized FFT kernel
-#: (True) or fall back to the per-pair reference loops (False).
-_BATCHED = True
-
 #: Pair-rows per ``irfft`` chunk: bounds the batched kernel's scratch
 #: memory (a chunk of 4096 pairs at FFT size 512 is ~16 MB) without
 #: giving up the one-transform-per-batch win on realistic inputs.
 _PAIR_CHUNK = 4096
-
-
-@contextmanager
-def use_reference_kernel() -> Iterator[None]:
-    """Run the batched entry points on the per-pair reference loops.
-
-    Benchmarks and equivalence tests wrap calls in this to compare the
-    two implementations at unchanged call sites."""
-    global _BATCHED
-    previous = _BATCHED
-    _BATCHED = False
-    try:
-        yield
-    finally:
-        _BATCHED = previous
 
 
 def _as_rows(series: np.ndarray) -> np.ndarray:
@@ -208,14 +183,6 @@ def sbd_pairs(x_rows: np.ndarray,
         )
     n = x.shape[1]
     nx, ny = x.shape[0], y.shape[0]
-    if not _BATCHED:
-        out_d = np.zeros((nx, ny))
-        out_s = np.zeros((nx, ny), dtype=int)
-        for i in range(nx):
-            for j in range(ny):
-                out_d[i, j], out_s[i, j] = sbd_with_shift(x[i], y[j])
-        return out_d, out_s
-
     size = _next_pow_two(2 * n - 1)
     fx = np.fft.rfft(x, size, axis=1)
     fy = np.fft.rfft(y, size, axis=1)
@@ -249,14 +216,6 @@ def sbd_matrix(series: np.ndarray) -> np.ndarray:
     out = np.zeros((n_rows, n_rows))
     if n_rows < 2:
         return out
-    if not _BATCHED:
-        for i in range(n_rows):
-            for j in range(i + 1, n_rows):
-                d = sbd(data[i], data[j])
-                out[i, j] = d
-                out[j, i] = d
-        return out
-
     n = data.shape[1]
     size = _next_pow_two(2 * n - 1)
     spectra = np.fft.rfft(data, size, axis=1)

@@ -151,8 +151,7 @@ def score_baseline(component: str, baseline: _ComponentBaseline,
             continue
         # Read-only view: scoring derives fresh arrays (diff, mean,
         # std, z-normalized copies) and never mutates the samples, so
-        # the property copy would be pure overhead -- and on shm shard
-        # workers the view reads the shared segment in place.
+        # the property copy would be pure overhead.
         values = ts.values_view
         samples = _drift_samples(values, frozen.counter)
         scale = frozen.scale

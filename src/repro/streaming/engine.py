@@ -82,12 +82,6 @@ class StreamingSieve:
         self.executor = executor if executor is not None else \
             make_executor(self.config.executor,
                           self.config.executor_workers or None)
-        # An executor with a shared-memory segment pool (the ``shm``
-        # strategy) homes the window rings in its segments, so shard
-        # payloads cross to workers as descriptors, not pickled arrays.
-        shm_pool = getattr(self.executor, "segments", None)
-        if shm_pool is not None:
-            self.windows.attach_shm_pool(shm_pool)
         self.analyzer = WindowAnalyzer(
             config=self.config, drift_detector=self.drift, seed=seed,
             executor=self.executor, telemetry=self.telemetry,
@@ -188,18 +182,6 @@ class StreamingSieve:
             "Wall-clock Unix time of the newest analysis (0 before "
             "the first) -- alert when now() - this exceeds the hop",
         )
-        # Shared-memory transport gauges exist only when the executor
-        # actually owns a segment pool, so non-shm engines expose an
-        # unchanged family set.
-        shm_pool = getattr(self.executor, "segments", None)
-        shm_gauge = None
-        if shm_pool is not None:
-            shm_gauge = registry.gauge(
-                "repro_shm_pool",
-                "Shared-memory segment pool shape, by stat "
-                "(segments, bytes, epoch, staged_bytes)",
-                labelnames=("stat",),
-            )
 
         def sample() -> None:
             bus_stats = self.bus.stats
@@ -234,10 +216,6 @@ class StreamingSieve:
             last_analysis.set(self.last_analysis_walltime or 0.0)
             executor_total.set_total(self.executor.tasks_dispatched,
                                      executor=self.executor.kind)
-            if shm_gauge is not None:
-                for stat, value in shm_pool.stats().items():
-                    shm_gauge.set(value,
-                                  stat=stat.removeprefix("shm_"))
             journal = self.bus.journal
             if journal is not None:
                 journal_total.set_total(journal.records_written,
@@ -498,11 +476,8 @@ class StreamingSieve:
     def close(self) -> None:
         """Release the shard executor's pooled workers (idempotent).
 
-        Rings detach from shared memory *first*: closing the
-        executor's segment pool must not find live parent-side views
-        into its segments.  The window store's backend is *not* closed
-        here -- its lifecycle belongs to whoever opened it (the CLI, a
-        test, a collector process).
+        The window store's backend is *not* closed here -- its
+        lifecycle belongs to whoever opened it (the CLI, a test, a
+        collector process).
         """
-        self.windows.detach_shm()
         self.executor.close()

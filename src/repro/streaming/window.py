@@ -31,8 +31,7 @@ class RingSeries:
     """
 
     __slots__ = ("key", "retention", "max_points",
-                 "_times", "_values", "_start", "_end", "evicted",
-                 "_pool", "_loc")
+                 "_times", "_values", "_start", "_end", "evicted")
 
     def __init__(self, key: MetricKey, retention: float = 120.0,
                  max_points: int = 4096):
@@ -50,12 +49,6 @@ class RingSeries:
         self._end = 0
         self.evicted = 0
         """Samples dropped so far by either bound (observability)."""
-
-        self._pool = None
-        """Attached :class:`repro.parallel.shm.SegmentPool` (or None)."""
-
-        self._loc = None
-        """Where this ring's buffers live inside the pool's segments."""
 
     def __len__(self) -> int:
         return self._end - self._start
@@ -133,51 +126,6 @@ class RingSeries:
         self.evicted += dropped
         return dropped
 
-    # -- shared-memory residency ---------------------------------------
-
-    def attach_shm(self, pool) -> None:
-        """Move this ring's buffers into ``pool``'s shared segments.
-
-        The shared buffers are allocated at the *fixed* ``max_points``
-        capacity up front: the count bound guarantees the live region
-        never exceeds it, so :meth:`extend` only ever compacts in
-        place and the buffers never move -- which is what keeps the
-        window references the shm transport hands to workers valid for
-        the ring's whole life.  Idempotent per pool.
-        """
-        if self._pool is pool:
-            return
-        if self._pool is not None:
-            self.detach_shm()
-        times, values, loc = pool.alloc_ring(self.max_points)
-        live = self._end - self._start
-        times[:live] = self._times[self._start:self._end]
-        values[:live] = self._values[self._start:self._end]
-        self._times, self._values = times, values
-        self._start, self._end = 0, live
-        self._pool = pool
-        self._loc = loc
-
-    def detach_shm(self) -> None:
-        """Copy the live region back to private memory (no-op bare).
-
-        Must run before the pool closes: it drops the last parent-side
-        numpy views into the ring's segment, so unmapping cannot hit a
-        live exported buffer.
-        """
-        if self._pool is None:
-            return
-        live = self._end - self._start
-        times = np.empty(max(live, _INITIAL_CAPACITY), dtype=float)
-        values = np.empty(max(live, _INITIAL_CAPACITY), dtype=float)
-        times[:live] = self._times[self._start:self._end]
-        values[:live] = self._values[self._start:self._end]
-        self._times, self._values = times, values
-        self._start, self._end = 0, live
-        self._pool.release_ring(self._loc)
-        self._pool = None
-        self._loc = None
-
     @property
     def times(self) -> np.ndarray:
         """Retained timestamps, oldest first (copy)."""
@@ -199,25 +147,15 @@ class RingSeries:
         """Retained samples with ``start <= t <= end`` as a TimeSeries.
 
         The returned series is always a private copy (stable however
-        the ring advances).  When the ring lives in shared memory the
-        copy is annotated with current-epoch references into the ring
-        buffers, which the shm transport ships to workers instead of
-        the samples.
+        the ring advances).
         """
         live_t = self._times[self._start:self._end]
         lo = int(np.searchsorted(live_t, start, side="left"))
         hi = int(np.searchsorted(live_t, end, side="right"))
         lo += self._start
         hi += self._start
-        ts = TimeSeries(self.key, self._times[lo:hi],
-                        self._values[lo:hi])
-        if self._pool is None or lo == hi:
-            return ts
-        from repro.parallel.shm import ShmTimeSeries
-
-        times_ref, values_ref = self._pool.ring_window_refs(
-            self._loc, lo, hi)
-        return ShmTimeSeries.annotate(ts, times_ref, values_ref)
+        return TimeSeries(self.key, self._times[lo:hi],
+                          self._values[lo:hi])
 
 
 class WindowStore:
@@ -238,7 +176,6 @@ class WindowStore:
         self.retention = retention
         self.max_points_per_series = max_points_per_series
         self.backend = backend
-        self._shm_pool = None
         self._shards: dict[str, dict[str, RingSeries]] = {}
         self.points_ingested = 0
         self.batches_ingested = 0
@@ -261,8 +198,6 @@ class WindowStore:
             ring = RingSeries(MetricKey(component, metric),
                               retention=self.retention,
                               max_points=self.max_points_per_series)
-            if self._shm_pool is not None:
-                ring.attach_shm(self._shm_pool)
             shard[metric] = ring
         t = np.asarray(times, dtype=float).reshape(-1)
         v = np.asarray(values, dtype=float).reshape(-1)
@@ -344,46 +279,11 @@ class WindowStore:
     def flush_backend(self) -> None:
         """Make write-through storage durable (no-op without backend).
 
-        With an asynchronous writer
-        (:class:`repro.parallel.writer.BatchingWriter`) in front of
-        the backend this also drains its queue -- the checkpoint
-        policy calls it so every sample a checkpoint covers is on disk
-        before the checkpoint lands.
+        The checkpoint policy calls it so every sample a checkpoint
+        covers is flushed before the checkpoint lands.
         """
         if self.backend is not None:
             self.backend.flush()
-
-    # -- shared-memory residency ---------------------------------------
-
-    def attach_shm_pool(self, pool) -> None:
-        """Home every ring (current and future) in ``pool``'s segments.
-
-        From here on, :meth:`snapshot` opens a fresh coherence epoch
-        on the pool and the windows it materializes carry shm
-        references the shard executor ships instead of samples.  The
-        pool's per-``map`` auto-epoch is turned off -- one window's
-        snapshot precedes *all* of that window's shard maps (drift
-        scoring, re-clustering), and they all read the same frozen
-        ring state.
-        """
-        self._shm_pool = pool
-        pool.auto_epoch = False
-        for shard in self._shards.values():
-            for ring in shard.values():
-                ring.attach_shm(pool)
-
-    def detach_shm(self) -> None:
-        """Move every ring back to private memory (no-op bare).
-
-        Run *before* the executor (and with it the pool) closes, so
-        no parent-side numpy view pins a shared segment's mapping.
-        """
-        if self._shm_pool is None:
-            return
-        for shard in self._shards.values():
-            for ring in shard.values():
-                ring.detach_shm()
-        self._shm_pool = None
 
     # -- analysis hand-off ---------------------------------------------
 
@@ -408,14 +308,7 @@ class WindowStore:
 
         Only non-empty series are included, so components that went
         silent simply vanish from the frame (and hence the analysis).
-
-        With a shared-memory pool attached, every snapshot opens a new
-        coherence epoch: the window references minted below stay valid
-        exactly until the next snapshot, which is the synchronous
-        analysis span they are consumed in.
         """
-        if self._shm_pool is not None:
-            self._shm_pool.begin_epoch()
         frame = MetricFrame()
         for shard in self._shards.values():
             for ring in shard.values():

@@ -5,7 +5,8 @@ Covers the PR-5 acceptance surface:
 * spec round-trips (spec -> dict -> spec identity, JSON and TOML);
 * the same seed through legacy wiring and ``repro.api`` yields
   identical clusterings (edge Jaccard 1.0);
-* CLI-vs-API equivalence smokes for stream/record/replay;
+* CLI-vs-API equivalence smokes for stream/record/replay, and the CLI
+  flag table (including the executor flags each mode keeps);
 * ``repro spec``-emitted specs reproduce the run when re-fed;
 * plugin registries (builtins + third-party registration);
 * backend compaction (spill merge/retire, sqlite trim) and
@@ -134,7 +135,8 @@ def _assert_same_analysis(left, right):
 class TestRegistries:
     def test_builtins_registered(self):
         assert {"memory", "sqlite", "spill"} <= set(BACKENDS.names())
-        assert {"serial", "thread", "process"} <= set(EXECUTORS.names())
+        assert {"serial", "process"} <= set(EXECUTORS.names())
+        assert not {"thread", "shm"} & set(EXECUTORS.names())
         assert {"random", "constant", "ramp"} <= set(WORKLOADS.names())
         assert "standard" in DRIFT_DETECTORS
         assert {"rca", "scaling"} <= set(CONSUMERS.names())
@@ -215,8 +217,8 @@ class TestSpecRoundTrip:
             streaming=StreamingConfig(
                 window=25.0, hop=5.0, retention=200.0,
                 adaptive_hop=True, hop_min=2.5, hop_max=20.0,
-                executor="thread", executor_workers=3,
-                writer="async", checkpoint_every_windows=1,
+                executor="process", executor_workers=3,
+                checkpoint_every_windows=1,
                 sieve=SieveConfig(max_clusters=5,
                                   granger_lags=(1, 2, 3)),
             ),
@@ -296,6 +298,12 @@ class TestSpecRoundTrip:
                            match="unknown SieveConfig field"):
             sieve_config_from_dict({"max_k": 7})
 
+    @pytest.mark.parametrize("field", ["writer", "writer_queue_batches"])
+    def test_removed_writer_fields_rejected(self, field):
+        with pytest.raises(ValueError,
+                           match=f"unknown StreamingConfig field.*{field}"):
+            RunSpec.from_dict({"streaming": {field: "sync"}})
+
     def test_version_check(self):
         with pytest.raises(ValueError, match="unsupported spec version"):
             RunSpec.from_dict({"version": 99})
@@ -353,9 +361,9 @@ class TestSpecRoundTrip:
                 .workload("constant", rate=40.0)
                 .streaming(window=25.0, hop=5.0, retention=200.0,
                            adaptive_hop=True, hop_min=2.5,
-                           hop_max=20.0, writer="async")
+                           hop_max=20.0)
                 .sieve(max_clusters=5, granger_lags=(1, 2, 3))
-                .executor("thread", workers=3)
+                .executor("process", workers=3)
                 .storage("spill", str(tmp_path / "run.db"),
                          retention=60.0, hot_points=64)
                 .journal("j.log").checkpoint("c.json")
@@ -368,6 +376,16 @@ class TestSpecRoundTrip:
                 .compare().duration(55.0).seed(7)
                 .extra(note="custom").spec())
         assert spec == self._custom_spec(tmp_path)
+
+    def test_builder_storage_accepts_only_the_sync_writer(self, tmp_path):
+        with pytest.raises(ValueError, match="async writer was removed"):
+            PipelineBuilder("demo-chain").storage(
+                "sqlite", str(tmp_path / "a.db"), writer="async")
+        spec = (PipelineBuilder("demo-chain").mode("stream")
+                .storage("sqlite", str(tmp_path / "s.db"), writer="sync")
+                .spec())
+        assert spec.storage == StorageSpec("sqlite", str(tmp_path / "s.db"))
+        assert spec.streaming == StreamingConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -564,28 +582,27 @@ def _cli_spec(argv):
     return _spec_from_args(args, args.command)
 
 
-# Every flag of every run-mode subcommand, in --help order, as of the
-# commit that introduced the flag table: a dropped, added or reordered
-# flag must fail here.
+# Every flag of every run-mode subcommand, in --help order: a dropped,
+# added or reordered flag must fail here.
 _PARENT_FLAGS = {
     "pipeline": "--app --snapshot --seed --duration --spec",
     "stream": "--app --window --hop --retention --adaptive-hop "
               "--hop-min --hop-max --workload --rate --compare "
               "--journal --checkpoint --checkpoint-every --resume "
               "--store --store-backend --store-retention "
-              "--store-schedule --writer --telemetry --telemetry-port "
+              "--store-schedule --telemetry --telemetry-port "
               "--telemetry-host --progress --executor --workers --seed "
               "--duration --spec --compact",
     "serve": "--app --port --host --clock --poll-interval "
              "--event-history --topology --window --hop --retention "
              "--adaptive-hop --hop-min --hop-max --journal --checkpoint "
              "--checkpoint-every --resume --store --store-backend "
-             "--store-retention --store-schedule --writer --telemetry "
+             "--store-retention --store-schedule --telemetry "
              "--telemetry-port --telemetry-host --executor --workers "
              "--seed --duration --spec",
     "record": "--app --backend --out --workload --rate "
-              "--store-retention --store-schedule --writer --executor "
-              "--workers --seed --duration --spec --compact",
+              "--store-retention --store-schedule --seed --duration "
+              "--spec --compact",
     "replay": "--backend --path --seed --executor --workers --spec",
     "rca": "--iterations --threshold --seed --duration",
     "trace-overhead": "--requests --seed",
@@ -636,8 +653,8 @@ class TestFlagTable:
             streaming=StreamingConfig(
                 window=30.0, hop=5.0, retention=300.0,
                 adaptive_hop=True, hop_min=2.0, hop_max=40.0,
-                checkpoint_every_windows=3, executor="thread",
-                executor_workers=3, writer="async"),
+                checkpoint_every_windows=3, executor="process",
+                executor_workers=3),
             storage=StorageSpec("spill", "s", retention=500.0,
                                 schedule="1000s:full,inf:1m"),
             journal="j.log", checkpoint="c.json",
@@ -648,12 +665,12 @@ class TestFlagTable:
         save_spec(base, path)
         assert _cli_spec(["stream", "--spec", str(path)]) == base
         typed = _cli_spec(["stream", "--spec", str(path),
-                           "--seed", "2", "--writer", "sync",
+                           "--seed", "2", "--executor", "serial",
                            "--store-backend", "sqlite"])
         assert typed == dataclasses.replace(
             base, seed=2,
             streaming=dataclasses.replace(base.streaming,
-                                          writer="sync"),
+                                          executor="serial"),
             storage=dataclasses.replace(base.storage, kind="sqlite"),
         )
 
@@ -705,6 +722,39 @@ class TestFlagTable:
         assert flags(commands["spec"]._subparsers._group_actions[0]
                      .choices[mode]) \
             == expected + ["--spec", "-o", "--format"]
+
+    @pytest.mark.parametrize("mode", sorted(_PARENT_FLAGS))
+    def test_spec_emits_only_surviving_parallel_fields(self, mode,
+                                                       capsys):
+        from repro.cli import main
+
+        required = {"record": ["--out", "x.db"],
+                    "replay": ["--path", "x.db"]}
+        assert main(["spec", mode, *required.get(mode, [])]) == 0
+        streaming = json.loads(capsys.readouterr().out)["streaming"]
+        assert streaming["executor"] == "serial"
+        assert not {"writer", "writer_queue_batches"} & set(streaming)
+
+    @pytest.mark.parametrize("argv", [
+        ["stream"], ["serve"], ["replay", "--path", "x.db"]])
+    def test_process_executor_flags_reach_the_spec(self, argv):
+        spec = _cli_spec([*argv, "--executor", "process",
+                          "--workers", "2"])
+        assert spec.streaming.executor == "process"
+        assert spec.streaming.executor_workers == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["record", "--out", "x.db", "--executor", "process"],
+        ["record", "--out", "x.db", "--workers", "2"],
+        ["record", "--out", "x.db", "--writer", "sync"],
+        ["stream", "--writer", "sync"],
+        ["serve", "--writer", "sync"],
+    ])
+    def test_removed_flags_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            _cli_spec(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestCLIvsAPI:
@@ -994,22 +1044,20 @@ class TestSqliteTrim:
         assert backend.sample_count() == 2
         backend.close()
 
+    def test_sqlite_compact_trims_past_retention(self, tmp_path):
+        backend = SqliteBackend(tmp_path / "x.db")
+        backend.write("web", "cpu", [float(i) for i in range(50)],
+                      [0.0] * 50)
+        stats = backend.compact(retention=9.0)
+        assert stats["points_deleted"] == 40
+        assert backend.sample_count() == 10
+        backend.close()
+
     def test_memory_backend_compact_is_noop(self):
         backend = MemoryBackend()
         backend.write("web", "cpu", [0.0], [1.0])
         assert backend.compact(retention=0.0) == {}
         assert backend.sample_count() == 1
-
-    def test_batching_writer_forwards_compact(self, tmp_path):
-        from repro.parallel import BatchingWriter
-
-        writer = BatchingWriter(SqliteBackend(tmp_path / "x.db"))
-        writer.write("web", "cpu", [float(i) for i in range(50)],
-                     [0.0] * 50)
-        stats = writer.compact(retention=9.0)
-        assert stats["points_deleted"] == 40
-        assert writer.sample_count() == 10
-        writer.close()
 
 
 class TestSessionCompact:
@@ -1026,6 +1074,19 @@ class TestSessionCompact:
             assert stats["points_deleted"] > 0
             assert session.backend.sample_count() \
                 == before - stats["points_deleted"]
+
+    def test_session_writes_the_opened_backend_directly(self, tmp_path):
+        spec = _stream_spec(
+            duration=30.0,
+            storage=StorageSpec("sqlite", str(tmp_path / "s.db")),
+        )
+        with build_pipeline(spec) as session:
+            assert type(session.backend) is SqliteBackend
+            assert session.engine.windows.backend is session.backend
+            session.run()
+            # No queue to drain: every published point is stored.
+            assert session.backend.sample_count() \
+                == session.engine.bus.stats.points_flushed
 
     def test_compact_without_backend_is_noop(self):
         with build_pipeline(_stream_spec(duration=30.0)) as session:

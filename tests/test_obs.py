@@ -6,7 +6,7 @@ Covers the observability acceptance surface:
   disabled-registry null path);
 * span tracing (per-window phase cuts, pending accumulation, discard);
 * Prometheus text exposition and the JSON snapshot;
-* the health model and the three standard probes (writer stall flips
+* the health model and the two standard probes (bus shedding flips
   ``/healthz`` to 503 and recovers);
 * the HTTP scrape server routes;
 * telemetry-on vs telemetry-off determinism (identical windows, edge
@@ -14,11 +14,9 @@ Covers the observability acceptance surface:
 """
 
 import json
-import threading
 import urllib.error
 import urllib.request
 
-import numpy as np
 import pytest
 
 from repro.api import (
@@ -42,9 +40,7 @@ from repro.obs import (
     checkpoint_probe,
     render_prometheus,
     snapshot,
-    writer_probe,
 )
-from repro.parallel.writer import BatchingWriter
 from repro.causality.depgraph import edge_jaccard
 from repro.simulator import (
     Application,
@@ -276,22 +272,6 @@ class TestExposition:
 # Health
 
 
-class _BlockingBackend:
-    """Backend whose writes stall until released (a simulated outage)."""
-
-    def __init__(self):
-        self.release = threading.Event()
-
-    def write(self, component, metric, times, values):
-        assert self.release.wait(timeout=10)
-
-    def flush(self):
-        pass
-
-    def close(self):
-        pass
-
-
 class TestHealth:
     def test_empty_model_is_healthy(self):
         healthy, report = HealthModel().check()
@@ -310,26 +290,6 @@ class TestHealth:
         model.remove_probe("bad")
         model.remove_probe("boom")
         assert model.check()[0]
-
-    def test_writer_probe_flips_on_stall_and_recovers(self):
-        backend = _BlockingBackend()
-        writer = BatchingWriter(backend, max_batches=1)
-        probe = writer_probe(writer)
-        try:
-            assert probe()[0]
-            # First batch is taken by the writer thread and stalls in
-            # the backend; the second pins the bounded queue at
-            # capacity -- sustained backpressure.
-            writer.write("c", "m", np.array([1.0]), np.array([1.0]))
-            writer.write("c", "m", np.array([2.0]), np.array([2.0]))
-            ok, detail = probe()
-            assert not ok and "saturated" in detail
-            backend.release.set()
-            writer.drain()
-            assert probe()[0]
-        finally:
-            backend.release.set()
-            writer.close()
 
     def test_bus_probe_fails_only_on_new_shedding(self):
         from types import SimpleNamespace
@@ -398,26 +358,51 @@ class TestServer:
         status, text = _get(server.url + "/healthz")
         assert status == 200 and json.loads(text)["healthy"]
 
-        backend = _BlockingBackend()
-        writer = BatchingWriter(backend, max_batches=1)
-        telemetry.health.add_probe("writer", writer_probe(writer))
+        from types import SimpleNamespace
+
+        bus = SimpleNamespace(
+            stats=SimpleNamespace(overflow_dropped=0,
+                                  overflow_downsampled=0),
+            pending_points=0,
+        )
+        telemetry.health.add_probe("bus", bus_probe(bus))
         try:
-            writer.write("c", "m", np.array([1.0]), np.array([1.0]))
-            writer.write("c", "m", np.array([2.0]), np.array([2.0]))
+            bus.stats.overflow_dropped = 5  # the bus is shedding load
             with pytest.raises(urllib.error.HTTPError) as err:
                 _get(server.url + "/healthz")
             assert err.value.code == 503
             report = json.loads(err.value.read().decode())
             assert not report["healthy"]
-            assert not report["probes"]["writer"]["ok"]
-            backend.release.set()
-            writer.drain()
+            assert not report["probes"]["bus"]["ok"]
+            # No new drops since that scrape: healthy again.
             status, text = _get(server.url + "/healthz")
             assert status == 200 and json.loads(text)["healthy"]
         finally:
-            backend.release.set()
-            writer.close()
-            telemetry.health.remove_probe("writer")
+            telemetry.health.remove_probe("bus")
+
+    def test_healthz_flips_on_checkpoint_lag(self, telemetry):
+        from types import SimpleNamespace
+
+        server = telemetry.serve(port=0)
+        policy = SimpleNamespace(every=1, windows_since_checkpoint=0,
+                                 checkpoints_written=0)
+        telemetry.health.add_probe("checkpoint", checkpoint_probe(policy))
+        try:
+            status, _ = _get(server.url + "/healthz")
+            assert status == 200
+            policy.windows_since_checkpoint = 3  # two missed epochs
+            with pytest.raises(urllib.error.HTTPError) as err:
+                _get(server.url + "/healthz")
+            assert err.value.code == 503
+            report = json.loads(err.value.read().decode())
+            assert "lag 3" in report["probes"]["checkpoint"]["detail"]
+            # A checkpoint lands: healthy again on the next scrape.
+            policy.windows_since_checkpoint = 0
+            policy.checkpoints_written = 1
+            status, text = _get(server.url + "/healthz")
+            assert status == 200 and json.loads(text)["healthy"]
+        finally:
+            telemetry.health.remove_probe("checkpoint")
 
 
 # ---------------------------------------------------------------------------
@@ -500,9 +485,6 @@ EXPECTED_FAMILIES = {
     "repro_window_analysis_seconds", "repro_window_phase_seconds",
     "repro_recluster_seconds", "repro_components_reclustered_total",
     "repro_components_reused_total",
-    "repro_writer_total", "repro_writer_queue_depth",
-    "repro_writer_queue_capacity", "repro_writer_write_seconds",
-    "repro_writer_flush_seconds", "repro_writer_errors_total",
     "repro_checkpoint_save_seconds",
 }
 
@@ -512,8 +494,7 @@ class TestSessionWiring:
         session = (PipelineBuilder("demo-chain").mode("stream")
                    .workload("constant", rate=12.0)
                    .streaming(window=10.0, hop=5.0, retention=60.0)
-                   .storage("sqlite", str(tmp_path / "run.db"),
-                            writer="async")
+                   .storage("sqlite", str(tmp_path / "run.db"))
                    .journal(str(tmp_path / "j.log"))
                    .checkpoint(str(tmp_path / "c.json"))
                    .duration(25).seed(3)
@@ -529,7 +510,9 @@ class TestSessionWiring:
             assert not missing, f"missing families: {sorted(missing)}"
             # The standard probes were wired and all pass post-run.
             assert session.telemetry.health.names() \
-                == ["bus", "checkpoint", "writer"]
+                == ["bus", "checkpoint"]
+            assert not any(family.startswith("repro_writer_")
+                           for family in families)
             status, text = _get(server.url + "/healthz")
             assert status == 200 and json.loads(text)["healthy"]
         finally:

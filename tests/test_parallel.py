@@ -1,10 +1,11 @@
-"""Tests for the parallel subsystem: shard executors (serial / thread /
-process determinism, pool-size-1 fallback), the concurrent-ingest
-writer (ordering, error relay, crash safety with the journal), and
-write-ahead journal rotation at checkpoint epochs."""
+"""Tests for the parallel subsystem: shard executors (serial == process
+determinism, pool-size-1 fallback, recovery from a dead worker, pool
+lifecycle in the engine), the inline store write path and crash safety
+of a durable store behind the journal, and write-ahead journal rotation
+at checkpoint epochs."""
 
 import os
-import time
+import signal
 
 import numpy as np
 import pytest
@@ -14,9 +15,9 @@ from repro.clustering.reduction import reduce_frame
 from repro.core import StreamingConfig
 from repro.metrics.timeseries import MetricFrame, MetricKey, TimeSeries
 from repro.parallel import (
-    BatchingWriter,
+    EXECUTOR_KINDS,
+    ProcessShardExecutor,
     ShardExecutor,
-    WriterError,
     default_workers,
     make_executor,
 )
@@ -41,6 +42,7 @@ from repro.streaming import (
     StreamingSieve,
     WindowAnalyzer,
 )
+from repro.streaming.window import WindowStore
 from repro.tracing.callgraph import CallGraph
 from repro.workload import constant_rate
 
@@ -48,6 +50,11 @@ from repro.workload import constant_rate
 def _double(x):
     """Module-level so process pools can pickle it."""
     return 2 * x
+
+
+def _die(_payload):
+    """Module-level crash task: a worker killed mid-window."""
+    os.kill(os.getpid(), signal.SIGKILL)
 
 
 def _spec(name, shift=False, **kwargs):
@@ -126,32 +133,50 @@ class TestMakeExecutor:
     def test_kinds_and_defaults(self):
         serial = make_executor("serial")
         assert serial.kind == "serial" and serial.workers == 1
-        thread = make_executor("thread", 2)
-        assert thread.kind == "thread" and thread.workers == 2
         process = make_executor("process", 2)
         assert process.kind == "process" and process.workers == 2
-        for executor in (thread, process):
-            executor.close()
+        process.close()
         assert default_workers() >= 1
+
+    def test_registered_kinds_and_factory(self):
+        assert EXECUTOR_KINDS == ("serial", "process")
+        executor = make_executor("process", 2)
+        assert type(executor) is ProcessShardExecutor
+        executor.close()
+
+    @pytest.mark.parametrize("kind", EXECUTOR_KINDS)
+    def test_describe_reports_strategy(self, kind):
+        with make_executor(kind, 2) as executor:
+            executor.map(_double, [1, 2, 3])
+            assert executor.describe() == {
+                "executor": kind,
+                "executor_workers": executor.workers,
+                "tasks_dispatched": 3,
+            }
 
     def test_pool_size_one_falls_back_to_serial(self):
         # One worker cannot overlap anything; a pool would only add
         # dispatch overhead, so the factory degrades gracefully.
-        for kind in ("thread", "process"):
-            executor = make_executor(kind, 1)
-            assert type(executor) is ShardExecutor
-            assert executor.kind == "serial"
+        executor = make_executor("process", 1)
+        assert type(executor) is ShardExecutor
+        assert executor.kind == "serial"
 
     def test_rejects_unknown_kind_and_bad_workers(self):
         with pytest.raises(ValueError, match="unknown executor"):
             make_executor("gpu")
         with pytest.raises(ValueError, match="workers"):
-            make_executor("thread", -2)
+            make_executor("process", -2)
+
+    @pytest.mark.parametrize("kind", ["thread", "shm"])
+    def test_config_rejects_removed_executors(self, kind):
+        with pytest.raises(ValueError,
+                           match=r"registered: process, serial\)"):
+            StreamingConfig(executor=kind)
 
     def test_map_preserves_payload_order(self):
         payloads = list(range(17))
         expected = [_double(p) for p in payloads]
-        for kind in ("serial", "thread", "process"):
+        for kind in ("serial", "process"):
             with make_executor(kind, 2) as executor:
                 assert executor.map(_double, payloads) == expected
                 assert executor.tasks_dispatched == len(payloads)
@@ -162,14 +187,31 @@ class TestMakeExecutor:
             assert executor._pool is None  # never spun up
 
     def test_close_is_idempotent(self):
-        executor = make_executor("thread", 2)
+        executor = make_executor("process", 2)
         executor.map(_double, [1, 2, 3])
         executor.close()
         executor.close()
 
+    def test_map_after_close_starts_a_fresh_pool(self):
+        executor = make_executor("process", 2)
+        executor.map(_double, [1, 2])
+        executor.close()
+        assert executor._pool is None
+        assert executor.map(_double, [5, 6]) == [10, 12]
+        assert executor._pool is not None
+        executor.close()
+
+    def test_broken_pool_recovers_on_next_map(self):
+        executor = make_executor("process", 2)
+        with pytest.raises(Exception, match="process pool"):
+            executor.map(_die, [0, 1])
+        # A later map after the crash builds a fresh pool and works.
+        assert executor.map(_double, [3, 4]) == [6, 8]
+        executor.close()
+
 
 # ---------------------------------------------------------------------------
-# Determinism: serial == thread == process
+# Determinism: serial == process
 
 
 class TestExecutorDeterminism:
@@ -188,15 +230,14 @@ class TestExecutorDeterminism:
         drifted = analyzer.analyze(second, graph, 60.0, 120.0, index=1)
         return initial, drifted
 
-    def test_thread_and_process_match_serial(self, frames):
+    def test_process_matches_serial(self, frames):
         serial = self._analyze_two_windows(ShardExecutor(), frames)
-        for kind in ("thread", "process"):
-            with make_executor(kind, 2) as executor:
-                parallel = self._analyze_two_windows(executor, frames)
-            for left, right in zip(parallel, serial):
-                _assert_same_analysis(left, right)
+        with make_executor("process", 2) as executor:
+            parallel = self._analyze_two_windows(executor, frames)
+        for left, right in zip(parallel, serial):
+            _assert_same_analysis(left, right)
         # The shifted component escalated through the drift path on
-        # every strategy (exercises parallel shape checks).
+        # both strategies (exercises parallel shape checks).
         assert serial[1].recluster_reasons.get("comp1") == "drift"
 
     def test_streamed_windows_match_serial(self):
@@ -237,28 +278,92 @@ class TestExecutorDeterminism:
         # pool-size-1 fallback reaches the engine wiring too.
         assert engine.executor.kind == "serial"
         engine.close()
-        config = StreamingConfig(executor="thread", executor_workers=3)
+        config = StreamingConfig(executor="process", executor_workers=3)
         engine = StreamingSieve(config=config, seed=1)
-        assert engine.executor.kind == "thread"
+        assert engine.executor.kind == "process"
         assert engine.analyzer.executor is engine.executor
-        assert engine.summary()["executor"] == "thread"
+        assert engine.summary()["executor"] == "process"
         engine.close()
+
+    def test_analysis_after_a_worker_crash_matches_serial(self, frames):
+        serial = self._analyze_two_windows(ShardExecutor(), frames)
+        with make_executor("process", 2) as executor:
+            with pytest.raises(Exception, match="process pool"):
+                executor.map(_die, [0, 1])
+            recovered = self._analyze_two_windows(executor, frames)
+        for left, right in zip(recovered, serial):
+            _assert_same_analysis(left, right)
 
 
 # ---------------------------------------------------------------------------
-# The concurrent-ingest writer
+# Process pool lifecycle inside the engine
 
 
-class _SlowBackend(SqliteBackend):
-    """Sqlite with an artificial per-write stall (crash-window tests)."""
+def _process_config():
+    return StreamingConfig(window=20.0, hop=10.0, retention=120.0,
+                           executor="process", executor_workers=2)
 
-    def __init__(self, path, delay=0.002):
-        super().__init__(path)
-        self.delay = delay
+
+class TestProcessLifecycle:
+    def test_engine_close_shuts_the_pool_down(self):
+        driver = SimulationStreamDriver(
+            _chain_app(), constant_rate(40.0), config=_process_config(),
+            seed=3, record_frame=False,
+        )
+        driver.run(30.0)
+        executor = driver.engine.executor
+        assert executor._pool is not None  # the run used the pool
+        driver.close()
+        assert executor._pool is None
+        driver.close()  # idempotent
+
+    def test_pool_across_checkpoint_resume(self, tmp_path):
+        config = _process_config()
+        driver = SimulationStreamDriver(
+            _chain_app(), constant_rate(40.0), config=config,
+            seed=3, record_frame=False,
+        )
+        policy = CheckpointPolicy(driver.engine,
+                                  tmp_path / "state.ckpt", every=1)
+        driver.engine.subscribe(policy)
+        early = driver.run(30.0)
+        driver.close()
+        assert driver.engine.executor._pool is None
+
+        restored = restore_engine(tmp_path / "state.ckpt", config)
+        assert restored.executor.kind == "process"
+        resumed = SimulationStreamDriver(
+            _chain_app(), constant_rate(40.0), config=config,
+            seed=3, record_frame=False, engine=restored,
+        )
+        late = resumed.resume_run(30.0)
+        assert early and late  # both runs analyzed windows
+        assert restored.executor._pool is not None
+        resumed.close()
+        assert restored.executor._pool is None
+
+
+# ---------------------------------------------------------------------------
+# A durable store behind the journal
+
+
+class _DyingBackend(SqliteBackend):
+    """Sqlite that stops receiving flushes once ``dead`` is set: the
+    process died between journal append and durable delivery."""
+
+    dead = False
 
     def write(self, component, metric, times, values):
-        time.sleep(self.delay)
+        if self.dead:
+            return 0
         return super().write(component, metric, times, values)
+
+
+def _hard_kill(backend):
+    """Drop a backend's sqlite locks as a dead process would:
+    uncommitted work rolls back, nothing is flushed or closed."""
+    backend._conn.rollback()
+    backend._conn.close()
 
 
 class _ExplodingBackend(SqliteBackend):
@@ -266,98 +371,75 @@ class _ExplodingBackend(SqliteBackend):
         raise OSError("disk on fire")
 
 
-def _hard_kill(writer):
-    """Abort the writer and drop its sqlite locks, as a dead process
-    would: queued batches vanish, uncommitted work rolls back."""
-    writer.abort()
-    conn = writer.backend._conn
-    conn.rollback()
-    conn.close()
+class TestInlineWritePath:
+    """The store backend is written inline by the window store, on the
+    bus's flush: no queue sits between a flush and a query."""
 
-
-class TestBatchingWriter:
     def test_read_your_writes(self, tmp_path):
-        writer = BatchingWriter(SqliteBackend(tmp_path / "w.db"))
-        writer.write("web", "cpu", [1.0, 2.0], [0.5, 0.6])
-        writer.write("web", "cpu", [3.0], [0.7])
-        assert writer.query("web", "cpu").values.tolist() \
+        backend = SqliteBackend(tmp_path / "w.db")
+        store = WindowStore(backend=backend)
+        store.ingest("web", "cpu", [1.0, 2.0], [0.5, 0.6])
+        store.ingest("web", "cpu", [3.0], [0.7])
+        assert backend.query("web", "cpu").values.tolist() \
             == [0.5, 0.6, 0.7]
-        assert writer.sample_count() == 3
-        assert writer.newest_time("web", "cpu") == 3.0
-        assert writer.keys() == [MetricKey("web", "cpu")]
-        writer.set_metadata({"seed": 4})
-        assert writer.metadata() == {"seed": 4}
-        assert writer.stats.batches_written == 2
-        writer.close()
+        assert backend.sample_count() == 3
+        assert backend.newest_time("web", "cpu") == 3.0
+        assert backend.keys() == [MetricKey("web", "cpu")]
+        assert store.backend_writes == 2
+        backend.close()
 
-    def test_speaks_the_bus_subscriber_protocol(self, tmp_path):
-        writer = BatchingWriter(SqliteBackend(tmp_path / "w.db"))
-        bus = IngestionBus()
-        bus.subscribe(writer)
-        bus.publish("api", 1.0, {"rps": 10.0})
-        bus.publish("api", 2.0, {"rps": 12.0})
-        bus.flush()
-        assert writer.query("api", "rps").times.tolist() == [1.0, 2.0]
-        writer.close()
+    def test_engine_bus_flush_reaches_the_backend(self, tmp_path):
+        backend = SqliteBackend(tmp_path / "w.db")
+        engine = StreamingSieve(seed=1, store_backend=backend)
+        engine.bus.publish("api", 1.0, {"rps": 10.0})
+        engine.bus.publish("api", 2.0, {"rps": 12.0})
+        engine.bus.flush()
+        assert backend.query("api", "rps").times.tolist() == [1.0, 2.0]
+        engine.close()
+        backend.close()
 
-    def test_relays_backend_errors_to_the_caller(self, tmp_path):
-        writer = BatchingWriter(_ExplodingBackend(tmp_path / "w.db"))
-        writer.write("web", "cpu", [1.0], [1.0])
-        with pytest.raises(WriterError, match="disk on fire"):
-            writer.drain()
-        with pytest.raises(WriterError):
-            writer.write("web", "cpu", [2.0], [2.0])
-
-    def test_write_after_close_raises(self, tmp_path):
-        writer = BatchingWriter(SqliteBackend(tmp_path / "w.db"))
-        writer.close()
-        writer.close()  # idempotent
-        with pytest.raises(RuntimeError, match="closed"):
-            writer.write("web", "cpu", [1.0], [1.0])
-
-    def test_rejects_bad_queue_bound(self, tmp_path):
-        with pytest.raises(ValueError, match="max_batches"):
-            BatchingWriter(SqliteBackend(tmp_path / "w.db"),
-                           max_batches=0)
-
-    def test_abort_drops_queued_batches(self, tmp_path):
-        writer = BatchingWriter(
-            _SlowBackend(tmp_path / "w.db", delay=0.005),
-            max_batches=512,
-        )
-        for i in range(200):
-            writer.write("web", "cpu", [float(i)], [float(i)])
-        _hard_kill(writer)  # the "kill -9"
-        # The queue was nowhere near drained when the crash hit.
-        survivor = SqliteBackend(tmp_path / "w.db")
-        assert survivor.sample_count() < 200
-        survivor.close()
-
-
-class TestWriterCrashSafety:
-    def test_journal_repairs_backend_after_writer_crash(self, tmp_path):
-        """Kill mid-flush: queued writes die, journal replay heals."""
+    def test_backend_errors_reach_the_publisher(self, tmp_path):
         journal = IngestJournal(tmp_path / "ingest.journal")
-        writer = BatchingWriter(
-            _SlowBackend(tmp_path / "points.db", delay=0.005),
-            max_batches=512,
-        )
+        engine = StreamingSieve(
+            seed=1, journal=journal,
+            store_backend=_ExplodingBackend(tmp_path / "w.db"))
+        engine.bus.publish("web", 1.0, {"cpu": 1.0})
+        with pytest.raises(OSError, match="disk on fire"):
+            engine.bus.flush()
+        # The ring did not take a batch the store refused, and the
+        # journal holds it for a later restore.
+        assert engine.windows.total_points() == 0
+        assert journal_record_count(tmp_path / "ingest.journal") == 1
+        engine.close()
+        journal.close()
+
+
+class TestBackendCrashSafety:
+    def test_journal_repairs_backend_after_crash(self, tmp_path):
+        """Kill mid-run: the store misses a tail, journal replay heals."""
+        journal = IngestJournal(tmp_path / "ingest.journal")
+        backend = _DyingBackend(tmp_path / "points.db")
         bus = IngestionBus()
         bus.attach_journal(journal)
-        bus.subscribe(writer)
+        bus.subscribe(backend)
         for i in range(150):
             bus.publish("web", float(i), {"cpu": float(i)})
             if i % 10 == 9:
-                bus.flush()  # journaled ahead of writer delivery
+                bus.flush()  # journaled ahead of store delivery
+            if i == 69:
+                backend.dead = True
         bus.flush()
         journal.commit()
+        journaled = sum(len(t) for _c, _m, t, _v
+                        in replay_journal(tmp_path / "ingest.journal"))
+        assert journaled == 150
         # Crash between journal append and durable delivery.
-        _hard_kill(writer)
+        _hard_kill(backend)
         del bus
 
         crashed = SqliteBackend(tmp_path / "points.db")
         lost = 150 - crashed.sample_count()
-        assert lost > 0  # the crash genuinely lost queued writes
+        assert lost > 0  # the crash genuinely lost store writes
 
         # Restore: journal replay rebuilds the rings and heals the
         # backend's missing tail through newest_time suffix writes.
@@ -373,9 +455,9 @@ class TestWriterCrashSafety:
             == [float(i) for i in range(150)]
         crashed.close()
 
-    def test_crash_restart_determinism_with_async_writer(
+    def test_crash_restart_determinism_with_sqlite_store(
             self, tmp_path):
-        """The PR-2 acceptance scenario, now with the writer thread
+        """The crash-restart acceptance scenario with a sqlite store
         and checkpoint-epoch journal rotation in the loop."""
         config = StreamingConfig(window=20.0, hop=10.0, retention=60.0)
 
@@ -386,10 +468,10 @@ class TestWriterCrashSafety:
         reference_windows = reference.run(90.0)
 
         journal = IngestJournal(tmp_path / "ingest.journal")
-        writer = BatchingWriter(SqliteBackend(tmp_path / "points.db"))
+        store = SqliteBackend(tmp_path / "points.db")
         engine = StreamingSieve(config=config, seed=3, journal=journal,
                                 application="demo", workload="stream",
-                                store_backend=writer)
+                                store_backend=store)
         doomed = SimulationStreamDriver(
             _chain_app(), constant_rate(40.0), config=config, seed=3,
             record_frame=False, engine=engine,
@@ -399,7 +481,7 @@ class TestWriterCrashSafety:
         engine.subscribe(policy)
         early = doomed.run(50.0)
         journal.commit()
-        _hard_kill(writer)
+        _hard_kill(store)
         assert journal.rotations >= 1  # epochs sealed the journal
         del doomed
 

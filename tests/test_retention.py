@@ -497,17 +497,6 @@ class TestRollupFallbacks:
         assert np.array_equal(rolled.mins, rolled.maxs)
         assert rolled.total_samples() == t.size
 
-    def test_batching_writer_forwards_query_rollup(self):
-        from repro.parallel.writer import BatchingWriter
-
-        backend = MemoryBackend()
-        writer = BatchingWriter(backend)
-        writer.write("web", "cpu", np.arange(5.0), np.arange(5.0))
-        rolled = writer.query_rollup("web", "cpu",
-                                     float("-inf"), float("inf"))
-        assert rolled.total_samples() == 5
-        writer.close()
-
 
 # ---------------------------------------------------------------------------
 # Spec / session / CLI seams

@@ -13,7 +13,6 @@ from repro.stats.correlation import (
     sbd_matrix,
     sbd_pairs,
     sbd_with_shift,
-    use_reference_kernel,
 )
 from repro.stats.timeseries_ops import znormalize
 
@@ -136,12 +135,24 @@ class TestBatchedSBD:
     """
 
     def _reference_matrix(self, rows):
-        with use_reference_kernel():
-            return sbd_matrix(rows)
+        """The per-pair double loop over :func:`sbd` (the oracle)."""
+        rows = np.asarray(rows, dtype=float)
+        out = np.zeros((len(rows), len(rows)))
+        for i in range(len(rows)):
+            for j in range(i + 1, len(rows)):
+                out[i, j] = out[j, i] = sbd(rows[i], rows[j])
+        return out
 
     def _reference_pairs(self, x_rows, y_rows):
-        with use_reference_kernel():
-            return sbd_pairs(x_rows, y_rows)
+        """Every cross pair through :func:`sbd_with_shift` (the oracle)."""
+        x_rows = np.asarray(x_rows, dtype=float)
+        y_rows = np.asarray(y_rows, dtype=float)
+        out_d = np.zeros((len(x_rows), len(y_rows)))
+        out_s = np.zeros((len(x_rows), len(y_rows)), dtype=int)
+        for i, x in enumerate(x_rows):
+            for j, y in enumerate(y_rows):
+                out_d[i, j], out_s[i, j] = sbd_with_shift(x, y)
+        return out_d, out_s
 
     # Odd/even/pow-two lengths straddle the FFT padding boundary
     # (2n-1 -> next power of two), the classic off-by-one hideout.
@@ -156,7 +167,7 @@ class TestBatchedSBD:
         assert np.array_equal(batched, batched.T)
         assert np.all(np.diag(batched) == 0.0)
 
-    @pytest.mark.parametrize("length", [33, 64, 65])
+    @pytest.mark.parametrize("length", [31, 32, 33, 64, 65, 127, 128])
     def test_pairs_match_reference_cross(self, length):
         rng = np.random.default_rng(length + 1)
         x_rows = rng.normal(size=(5, length))
@@ -198,7 +209,7 @@ class TestBatchedSBD:
 
     def test_batched_is_deterministic(self):
         """Same rows, same shapes -> the very same bits, run to run
-        (what makes serial == shm reproducible across executors)."""
+        (what makes serial == process reproducible across executors)."""
         rng = np.random.default_rng(21)
         rows = rng.normal(size=(12, 96))
         first = sbd_matrix(rows.copy())
