@@ -115,12 +115,39 @@ def _number(value: Any, what: str, finite: bool = False) -> float:
     which would park the hop schedule beyond every later sample."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise IngestError(f"{what} must be a number, got {value!r}")
-    result = float(value)
+    try:
+        result = float(value)
+    except OverflowError:  # an integer literal beyond float range
+        raise IngestError(f"{what} is out of float range") from None
     if math.isnan(result):
         raise IngestError(f"{what} must not be NaN")
     if finite and math.isinf(result):
         raise IngestError(f"{what} must be finite")
     return result
+
+
+#: Item types :func:`_numbers` converts in one pass (not ``bool``).
+_PLAIN_NUMBERS = frozenset((int, float))
+
+
+def _numbers(items: list, what: str, finite: bool = False) -> list[float]:
+    """``[_number(item, what, finite) for item in items]``, validated
+    in one C-level pass when every item is exactly an ``int`` or a
+    ``float``: a finite sum (not NaN, for values) proves every item
+    valid.  Anything else -- another type, an integer beyond float
+    range, a sum that fails the test -- takes the per-item path, so
+    the accepted floats and the error message are the same."""
+    if _PLAIN_NUMBERS.issuperset(map(type, items)):
+        try:
+            result = list(map(float, items))
+        except OverflowError:
+            pass
+        else:
+            total = sum(result)
+            if (math.isfinite(total) if finite
+                    else not math.isnan(total)):
+                return result
+    return [_number(item, what, finite) for item in items]
 
 
 def _component(value: Any) -> str:
@@ -170,8 +197,8 @@ def _decode_batch(entry: Any) -> IngestBatch:
         return IngestBatch(
             component=component,
             metric=metric,
-            times=[_number(t, "times[]", finite=True) for t in times],
-            values=[_number(v, "values[]") for v in values],
+            times=_numbers(times, "times[]", finite=True),
+            values=_numbers(values, "values[]"),
         )
     raise IngestError(
         "batch needs either a 'metrics' object or a "

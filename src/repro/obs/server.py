@@ -191,10 +191,12 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             length = int(self.headers.get("Content-Length", "0"))
         except ValueError:
+            length = -1
+        if length < 0:
             self._respond_json(
                 400, {"error": "invalid Content-Length header"})
             return
-        if length < 0 or length > _MAX_BODY_BYTES:
+        if length > _MAX_BODY_BYTES:
             self._respond_json(
                 413, {"error": f"body exceeds {_MAX_BODY_BYTES} bytes"})
             return

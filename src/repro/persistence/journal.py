@@ -11,7 +11,7 @@ on top (:mod:`repro.persistence.checkpoint`).
 
 **Format.**  Each journal file is a 12-byte header (the magic
 ``SIEVEJNL`` and a ``u32`` format version) followed by one frame per
-:meth:`IngestJournal.append_batch`, all integers little-endian::
+(component, metric) batch, all integers little-endian::
 
     u32 length        payload bytes
     u32 crc32         zlib CRC-32 of the payload
@@ -24,10 +24,14 @@ on top (:mod:`repro.persistence.checkpoint`).
 
 Samples are stored as raw IEEE-754 doubles, so replayed samples are
 bit-identical to the originals (``-0.0``, ``inf`` and subnormals
-included).  Each frame is handed to the OS in one unbuffered write
-before the bus delivers the batch; a failed write is cut back to the
+included).  :meth:`IngestJournal.append_batches` logs one bus flush:
+it encodes every batch of the flush as its own frame and hands them
+all to the OS in one unbuffered write before the bus delivers any of
+them (:meth:`~IngestJournal.append_batch` is its one-batch call).  It
+is all or nothing: a batch it cannot encode (mismatched lengths, an
+over-long name) writes nothing, and a failed write is cut back to the
 end of the last complete frame before the error propagates, so the
-bus's requeue journals the batch again exactly once.
+bus's requeue journals the whole flush again exactly once.
 
 **Torn versus corrupt.**  A crash can leave the final frame of the
 active file incomplete.  Replay forgives exactly that -- a bad frame
@@ -57,7 +61,7 @@ disk footprint without changing what a restore rebuilds.  Replay
 the active file, so rotation is invisible to readers.
 
 One deliberate asymmetry: a batch whose *delivery* failed (a
-subscriber raised mid-flush) is dropped from delivery but kept in the
+subscriber raised mid-flush) is not delivered again but stays in the
 journal -- restoring from the journal resurrects it, which is
 recovery of otherwise-lost data, not corruption.
 """
@@ -160,6 +164,9 @@ class IngestJournal:
 
         self._active_records = 0
         self._active_newest = float("-inf")
+        self._names: dict[tuple[str, str], tuple[int, int, bytes]] = {}
+        """Per key: the UTF-8 byte lengths of its names and both names
+        encoded, as every frame of the key carries them."""
 
     def _open(self, keep: int) -> None:
         """Open the active file for appending after its first ``keep``
@@ -188,27 +195,47 @@ class IngestJournal:
             raise
         self._size += len(data)
 
+    def append_batches(self, batches) -> None:
+        """Log one bus flush ahead of its delivery: one frame per
+        ``(component, metric, times, values)`` batch, all in one write.
+
+        All or nothing: a batch whose ``times`` and ``values`` differ
+        in length, or with an over-long name, raises ``ValueError``
+        before anything is written, and a failed write is cut back to
+        the last complete frame."""
+        parts: list = []
+        records = 0
+        newest = self._active_newest
+        for component, metric, times, values in batches:
+            t = np.ascontiguousarray(times, dtype=_F64).reshape(-1)
+            v = np.ascontiguousarray(values, dtype=_F64).reshape(-1)
+            n = t.size
+            if n != v.size:
+                raise ValueError("times and values must have equal length")
+            names = self._names.get((component, metric))
+            if names is None:
+                c = _encode_name(component)
+                m = _encode_name(metric)
+                names = self._names[component, metric] = (len(c), len(m),
+                                                           c + m)
+            lc, lm, both = names
+            head = _COUNTS.pack(lc, lm, n)
+            crc = zlib.crc32(v, zlib.crc32(t, zlib.crc32(
+                both, zlib.crc32(head))))
+            parts += (_FRAME.pack(_COUNTS.size + lc + lm + 16 * n, crc),
+                      head, both, t, v)
+            records += 1
+            if n:
+                newest = max(newest, t.item(-1))
+        self._write(b"".join(parts))
+        self.records_written += records
+        self._active_records += records
+        self._active_newest = newest
+
     def append_batch(self, component: str, metric: str,
                      times, values) -> None:
-        """Log one flushed batch (called by the bus ahead of delivery).
-
-        ``times`` and ``values`` must have equal length; a mismatched
-        batch (or an over-long name) raises ``ValueError`` and writes
-        nothing."""
-        t = np.asarray(times, dtype=_F64).reshape(-1)
-        v = np.asarray(values, dtype=_F64).reshape(-1)
-        if t.size != v.size:
-            raise ValueError("times and values must have equal length")
-        c = _encode_name(component)
-        m = _encode_name(metric)
-        payload = b"".join((_COUNTS.pack(len(c), len(m), t.size),
-                            c, m, t.tobytes(), v.tobytes()))
-        self._write(_FRAME.pack(len(payload), zlib.crc32(payload))
-                    + payload)
-        self.records_written += 1
-        self._active_records += 1
-        if t.size:
-            self._active_newest = max(self._active_newest, float(t[-1]))
+        """:meth:`append_batches` of one batch."""
+        self.append_batches(((component, metric, times, values),))
 
     def commit(self) -> None:
         """Make appended frames durable against power loss (with

@@ -76,7 +76,9 @@ class _HotBuffer:
         self.last_time = float("-inf")
 
     def append(self, t: np.ndarray, v: np.ndarray) -> None:
-        self.chunks.append((t, v))
+        # Private copies: a bus flush hands out views of one array per
+        # flush, which a held view would keep alive whole.
+        self.chunks.append((t.copy(), v.copy()))
         self.n += int(t.size)
         self.last_time = float(t[-1])
 

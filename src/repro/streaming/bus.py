@@ -3,22 +3,38 @@
 Collectors (:class:`repro.metrics.collector.Collector` in push mode, or
 anything else speaking the ``publish`` protocol) hand the bus one
 scrape batch at a time.  The bus buffers points per (component, metric)
-and periodically *flushes*: each buffered run of points is converted to
-a pair of numpy arrays once and delivered to every subscriber in a
-single vectorized call -- the same batching discipline a real
-Telegraf -> InfluxDB hop applies to amortize per-write overhead.
+and periodically *flushes*: every buffered run of the flush is
+converted into one pair of float64 arrays at once, and each
+(component, metric) batch is delivered to every subscriber as a view
+of them in a single vectorized call -- the same batching discipline a
+real Telegraf -> InfluxDB hop applies to amortize per-write overhead.
 
 Subscribers are either callables ``fn(component, metric, times,
 values)`` or objects with that signature as an ``ingest`` method (a
 :class:`~repro.streaming.window.WindowStore`, a
-:class:`~repro.persistence.backend.StorageBackend`, ...).
+:class:`~repro.persistence.backend.StorageBackend`, ...).  They must
+not write into the arrays they are handed.
+
+A timestamp must be finite.  The HTTP decoders answer 400 for one;
+an in-process publisher's non-finite timestamp is counted in
+:attr:`BusStats.rejected_points` and never buffered (a run holding one
+is rejected whole, like an unordered run), since it would empty the
+key's ring or disable its ordering guard.
 
 Two reliability features wrap the buffer:
 
-* **write-ahead journal** -- with :meth:`attach_journal`, every batch
-  is appended to an :class:`~repro.persistence.journal.IngestJournal`
-  *before* it is handed to any subscriber, so a killed process can be
-  resumed losslessly by replaying the journal;
+* **write-ahead journal** -- with :meth:`attach_journal`, each flush
+  is appended whole to an
+  :class:`~repro.persistence.journal.IngestJournal` in one write
+  *before* any of its batches reaches a subscriber, so a killed
+  process can be resumed losslessly by replaying the journal.  A
+  failed journal write requeues every batch of the flush and delivers
+  none; the next flush journals each of them exactly once.  A failing
+  subscriber does not hold up the other batches: they are all
+  delivered, the failing batch is not retried (it is already
+  journaled, and a subscriber that took it would see it twice), and
+  the first error is re-raised after the loop.  That batch stays in
+  the journal, so a restore brings it back;
 * **backpressure** -- with ``max_pending`` set, a stalled consumer can
   no longer grow the buffers unboundedly: the configured overflow
   policy sheds load (``drop_oldest`` discards the globally oldest
@@ -30,12 +46,26 @@ Two reliability features wrap the buffer:
 from __future__ import annotations
 
 import heapq
+import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import lt
 
 import numpy as np
 
 #: Valid overflow policies for a bounded bus.
 OVERFLOW_POLICIES = ("drop_oldest", "downsample")
+
+#: The item types of a run the decoders hand over.
+_FLOAT = frozenset((float,))
+
+
+def _finite(times: list) -> bool:
+    """Every float of ``times`` is finite.  A finite sum proves it in
+    one C-level pass; only a sum that is not (a non-finite item, or
+    finite items whose sum overflows) needs the per-item test."""
+    return math.isfinite(sum(times)) or all(map(math.isfinite, times))
 
 
 @dataclass
@@ -47,7 +77,8 @@ class BusStats:
     flushes: int = 0
     points_flushed: int = 0
     rejected_points: int = 0
-    """Points dropped because they arrived out of order for their key."""
+    """Points dropped because they arrived out of order for their key
+    or carried a non-finite timestamp."""
 
     overflow_dropped: int = 0
     """Points shed by the ``drop_oldest`` backpressure policy."""
@@ -165,7 +196,7 @@ class IngestionBus:
         """Write every flushed batch ahead of subscriber delivery.
 
         ``journal`` is an :class:`repro.persistence.journal.IngestJournal`
-        (or anything with ``append_batch``/``commit``).
+        (or anything with ``append_batches``/``commit``).
         """
         self._journal = journal
 
@@ -238,6 +269,10 @@ class IngestionBus:
     def publish(self, component: str, time: float,
                 metrics: dict[str, float]) -> None:
         """Accept one component scrape batch (the collector protocol)."""
+        time = float(time)
+        if not math.isfinite(time):
+            self.stats.rejected_points += len(metrics)
+            metrics = {}
         for metric, value in metrics.items():
             if self._clip_resumed(component, metric, time):
                 self.stats.resume_clipped += 1
@@ -246,10 +281,10 @@ class IngestionBus:
             if time < buffer.last_time:
                 self.stats.rejected_points += 1
                 continue
-            buffer.times.append(float(time))
+            buffer.times.append(time)
             buffer.values.append(float(value))
-            buffer.last_time = float(time)
-            self._high_water[(component, metric)] = float(time)
+            buffer.last_time = time
+            self._high_water[(component, metric)] = time
             self._pending += 1
             self.stats.points_published += 1
         self.stats.batches_published += 1
@@ -259,37 +294,52 @@ class IngestionBus:
                        times, values) -> None:
         """Accept a pre-batched run of points for one metric.
 
-        A run that is out of order within itself is rejected whole; an
-        ordered run that starts behind the key's guard loses exactly
-        its late head -- what publishing it point by point would
-        reject -- and the in-order tail is taken."""
-        t = np.asarray(times, dtype=float).reshape(-1)
-        v = np.asarray(values, dtype=float).reshape(-1)
-        if t.size != v.size:
+        A run that is out of order within itself, or holds a
+        non-finite timestamp, is rejected whole; an ordered run that
+        starts behind the key's guard loses exactly its late head --
+        what publishing it point by point would reject -- and the
+        in-order tail is taken.
+
+        Decoder output (lists holding only ``float``) is buffered as
+        is; anything else goes through a float64 array first, so the
+        buffered floats are the same either way."""
+        if type(times) is not list or type(values) is not list \
+                or {*map(type, times), *map(type, values)} != _FLOAT:
+            times = np.asarray(times, dtype=float).reshape(-1).tolist()
+            values = np.asarray(values, dtype=float).reshape(-1).tolist()
+        size = len(times)
+        if size != len(values):
             raise ValueError("times and values must have equal length")
-        if t.size == 0:
+        if size == 0:
             return
-        if self._resume_clip is not None:
-            while t.size and self._clip_resumed(component, metric, t[0]):
-                self.stats.resume_clipped += 1
-                t, v = t[1:], v[1:]
-            if t.size == 0:
-                return
-        buffer = self._buffer(component, metric)
-        size = t.size
-        if (t[1:] < t[:-1]).any():
+        if not _finite(times):
             self.stats.rejected_points += size
             return
-        if t[0] < buffer.last_time:
-            late = int(np.searchsorted(t, buffer.last_time))
+        if self._resume_clip is not None:
+            clipped = 0
+            while clipped < size and self._clip_resumed(
+                    component, metric, times[clipped]):
+                clipped += 1
+            if clipped:
+                self.stats.resume_clipped += clipped
+                if clipped == size:
+                    return
+                times, values = times[clipped:], values[clipped:]
+                size -= clipped
+        buffer = self._buffer(component, metric)
+        if any(map(lt, times[1:], times)):
+            self.stats.rejected_points += size
+            return
+        if times[0] < buffer.last_time:
+            late = bisect_left(times, buffer.last_time)
             self.stats.rejected_points += late
-            t, v = t[late:], v[late:]
-            size -= late
-            if size == 0:
+            if late == size:
                 return
-        newest = float(t[-1])
-        buffer.times.extend(t.tolist())
-        buffer.values.extend(v.tolist())
+            times, values = times[late:], values[late:]
+            size -= late
+        newest = times[-1]
+        buffer.times += times
+        buffer.values += values
         buffer.last_time = newest
         self._high_water[(component, metric)] = newest
         self._pending += size
@@ -385,11 +435,12 @@ class IngestionBus:
     def flush(self) -> int:
         """Deliver every buffered batch to every subscriber.
 
-        With a journal attached, each batch is appended (and the
-        journal committed) before subscribers see it -- the write-ahead
-        contract.  Returns the number of points delivered.  Empty
-        flushes are cheap, so callers can flush on a timer without
-        guarding.
+        With a journal attached, the whole flush is appended (and the
+        journal committed) before any subscriber sees a batch of it --
+        the write-ahead contract; the module docstring says what a
+        failed journal write or a failing subscriber leaves behind.
+        Returns the number of points delivered.  Empty flushes are
+        cheap, so callers can flush on a timer without guarding.
         """
         if not self._pending:
             return 0
@@ -401,53 +452,53 @@ class IngestionBus:
         return delivered
 
     def _flush_impl(self) -> int:
-        delivered = 0
         buffers, self._buffers = self._buffers, {}
         self._pending = 0
         items = [
             (key, buffer) for key, buffer in buffers.items() if len(buffer)
         ]
-        try:
-            for index, ((component, metric), buffer) in enumerate(items):
-                t = np.asarray(buffer.times[buffer.start:], dtype=float)
-                v = np.asarray(buffer.values[buffer.start:], dtype=float)
-                try:
-                    if self._journal is not None:
-                        self._journal.append_batch(component, metric,
-                                                   t, v)
-                        self.stats.journaled_batches += 1
-                except Exception:
-                    # A failed journal write (disk full, closed handle)
-                    # must not lose data: the current batch was neither
-                    # journaled nor delivered, so requeue it along with
-                    # everything behind it.
-                    for key, pending in items[index:]:
-                        self._buffers[key] = pending
-                        self._pending += len(pending)
-                    self.stats.flushes += 1
-                    self.stats.points_flushed += delivered
-                    raise
-                try:
-                    for sink in self._sinks:
-                        sink(component, metric, t, v)
-                except Exception:
-                    # Requeue everything not yet delivered so one bad
-                    # subscriber/batch does not drop other keys'
-                    # points.  The failing batch itself is NOT retried
-                    # (a sink that already ingested it would receive
-                    # it twice); it stays in the write-ahead journal,
-                    # so a later restore resurrects it -- recovery,
-                    # not loss.
-                    for key, pending in items[index + 1:]:
-                        self._buffers[key] = pending
-                        self._pending += len(pending)
-                    self.stats.flushes += 1
-                    self.stats.points_flushed += delivered
-                    raise
-                delivered += t.size
-        finally:
-            if self._journal is not None:
-                self._journal.commit()
+        times = np.array(list(chain.from_iterable(
+            buffer.times[buffer.start:] for _key, buffer in items)),
+            dtype=float)
+        values = np.array(list(chain.from_iterable(
+            buffer.values[buffer.start:] for _key, buffer in items)),
+            dtype=float)
+        batches = []
+        end = 0
+        for (component, metric), buffer in items:
+            start, end = end, end + len(buffer)
+            batches.append((component, metric,
+                            times[start:end], values[start:end]))
         self.stats.flushes += 1
+        if self._journal is not None:
+            try:
+                self._journal.append_batches(batches)
+            except Exception:
+                # A failed journal write (disk full, closed handle)
+                # must not lose data: nothing was journaled or
+                # delivered, so the whole flush is requeued.
+                for key, buffer in items:
+                    self._buffers[key] = buffer
+                    self._pending += len(buffer)
+                raise
+            self.stats.journaled_batches += len(batches)
+            self._journal.commit()
+        delivered = 0
+        failure: Exception | None = None
+        for component, metric, t, v in batches:
+            try:
+                for sink in self._sinks:
+                    sink(component, metric, t, v)
+            except Exception as exc:
+                # One bad subscriber/batch must not drop other keys'
+                # points, and the failing batch is not retried (a
+                # sink that already took it would receive it twice);
+                # it stays in the journal, so a restore resurrects it.
+                if failure is None:
+                    failure = exc
+                continue
+            delivered += t.size
         self.stats.points_flushed += delivered
+        if failure is not None:
+            raise failure
         return delivered

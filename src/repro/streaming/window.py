@@ -20,6 +20,16 @@ from repro.metrics.timeseries import MetricFrame, MetricKey, TimeSeries
 #: Initial ring capacity (grows by doubling up to ``max_points``).
 _INITIAL_CAPACITY = 64
 
+_F64 = np.dtype(float)
+
+
+def _vector(data) -> np.ndarray:
+    """``data`` as a 1-d float64 array, as is when it already is one
+    (every batch the bus delivers)."""
+    if type(data) is np.ndarray and data.dtype is _F64 and data.ndim == 1:
+        return data
+    return np.asarray(data, dtype=float).reshape(-1)
+
 
 class RingSeries:
     """Recent samples of one metric, bounded in count and age.
@@ -55,64 +65,73 @@ class RingSeries:
 
     def extend(self, times, values) -> None:
         """Bulk-append ordered samples, then enforce both bounds."""
-        self._extend(np.asarray(times, dtype=float).reshape(-1),
-                     np.asarray(values, dtype=float).reshape(-1))
+        self._extend(_vector(times), _vector(values))
 
     def _extend(self, t: np.ndarray, v: np.ndarray) -> None:
         """:meth:`extend` on inputs already converted to 1-d float
-        arrays (the window store converts each batch once)."""
-        if t.size != v.size:
+        arrays (the window store converts each batch at most once).
+        Bounds are read as Python floats: a numpy scalar operation
+        costs several times more."""
+        n = t.size
+        if n != v.size:
             raise ValueError("times and values must have equal length")
-        if t.size == 0:
+        if n == 0:
             return
-        if (t[1:] < t[:-1]).any():
+        if n > 1 and np.count_nonzero(t[1:] < t[:-1]):
             raise ValueError("ring writes require non-decreasing times")
-        held = self._end > self._start
-        if held and t[0] < self._times[self._end - 1]:
+        start, end = self._start, self._end
+        held = end > start
+        if held and t.item(0) < self._times.item(end - 1):
             raise ValueError(
                 f"out-of-order ring write at t={t[0]} "
-                f"(last t={self._times[self._end - 1]})"
+                f"(last t={self._times[end - 1]})"
             )
-        if t.size > self.max_points:
+        max_points = self.max_points
+        if n > max_points:
             # The batch alone overflows the ring: only its tail survives.
-            self.evicted += t.size - self.max_points
-            t, v = t[-self.max_points:], v[-self.max_points:]
+            self.evicted += n - max_points
+            t, v = t[-max_points:], v[-max_points:]
+            n = max_points
 
         # Age bound, relative to the newest incoming sample -- applied
         # to the stored samples and to the batch itself.  Both are
         # ordered, so nothing is older than the cutoff unless their
         # first sample is and the search can be skipped otherwise; the
         # negated tests keep a NaN cutoff (or oldest) searching.
-        cutoff = t[-1] - self.retention
-        if held and not self._times[self._start] >= cutoff:
+        cutoff = t.item(-1) - self.retention
+        if held and not self._times.item(start) >= cutoff:
             self.evict_before(cutoff)
-        if not t[0] >= cutoff:
-            stale = int(np.searchsorted(t, cutoff, side="left"))
+            start = self._start
+        if not t.item(0) >= cutoff:
+            stale = int(t.searchsorted(cutoff, side="left"))
             self.evicted += stale
             t, v = t[stale:], v[stale:]
+            n -= stale
         # Count bound: make room for the incoming batch.
-        overflow = len(self) + t.size - self.max_points
+        overflow = end - start + n - max_points
         if overflow > 0:
-            self._start += overflow
+            start += overflow
             self.evicted += overflow
 
-        live = self._end - self._start
-        need = live + t.size
-        if self._end + t.size > self._times.size:
-            if need > self._times.size:
-                capacity = min(max(2 * self._times.size, need),
-                               max(self.max_points, need))
+        live = end - start
+        times, values = self._times, self._values
+        if end + n > times.size:
+            need = live + n
+            if need > times.size:
+                capacity = min(max(2 * times.size, need),
+                               max(max_points, need))
                 new_times = np.empty(capacity, dtype=float)
                 new_values = np.empty(capacity, dtype=float)
             else:
-                new_times, new_values = self._times, self._values
-            new_times[:live] = self._times[self._start:self._end]
-            new_values[:live] = self._values[self._start:self._end]
-            self._times, self._values = new_times, new_values
-            self._start, self._end = 0, live
-        self._times[self._end:self._end + t.size] = t
-        self._values[self._end:self._end + v.size] = v
-        self._end += int(t.size)
+                new_times, new_values = times, values
+            new_times[:live] = times[start:end]
+            new_values[:live] = values[start:end]
+            times, values = new_times, new_values
+            self._times, self._values = times, values
+            start, end = 0, live
+        times[end:end + n] = t
+        values[end:end + n] = v
+        self._start, self._end = start, end + n
 
     def append(self, time: float, value: float) -> None:
         """Single-sample convenience wrapper around :meth:`extend`."""
@@ -121,7 +140,7 @@ class RingSeries:
     def evict_before(self, cutoff: float) -> int:
         """Drop samples older than ``cutoff``; returns how many."""
         live = self._times[self._start:self._end]
-        dropped = int(np.searchsorted(live, cutoff, side="left"))
+        dropped = int(live.searchsorted(cutoff, side="left"))
         self._start += dropped
         self.evicted += dropped
         return dropped
@@ -199,18 +218,18 @@ class WindowStore:
                               retention=self.retention,
                               max_points=self.max_points_per_series)
             shard[metric] = ring
-        t = np.asarray(times, dtype=float).reshape(-1)
-        v = np.asarray(values, dtype=float).reshape(-1)
+        t, v = _vector(times), _vector(values)
         if not t.size:
             return
         if self.backend is not None:
             self.backend.write(component, metric, t, v)
             self.backend_writes += 1
         ring._extend(t, v)
-        self.points_ingested += int(t.size)
+        self.points_ingested += t.size
         self.batches_ingested += 1
-        if self.first_time is None or t[0] < self.first_time:
-            self.first_time = float(t[0])
+        first = t.item(0)
+        if self.first_time is None or first < self.first_time:
+            self.first_time = first
 
     # -- bookkeeping ---------------------------------------------------
 

@@ -212,6 +212,20 @@ class TestDurability:
         assert backend.hot_sample_count() < 32 + 10
         assert backend.sample_count() == 200
 
+    def test_spill_hot_tail_holds_no_flush_arrays(self, tmp_path):
+        # A bus flush delivers views of one array per flush; a hot
+        # tail keeping a view would keep the whole flush in memory.
+        backend = SpillBackend(tmp_path / "spill", hot_points=32)
+        bus = IngestionBus()
+        bus.subscribe(backend)
+        bus.publish_points("web", "cpu", [1.0, 2.0], [1.0, 2.0])
+        bus.publish_points("db", "mem", [1.0], [1.0])
+        bus.flush()
+        for chunks in (hot.chunks for hot in backend._hot.values()):
+            assert all(t.base is None and v.base is None
+                       for t, v in chunks)
+        assert backend.query("web", "cpu").times.tolist() == [1.0, 2.0]
+
     def test_spill_rejects_out_of_order(self, tmp_path):
         backend = SpillBackend(tmp_path / "spill")
         backend.write("web", "cpu", [5.0], [1.0])
@@ -407,9 +421,10 @@ class TestIngestJournal:
         assert store.total_points() == 1
 
     def test_half_written_frame_is_cut_back(self, tmp_path):
-        # Disk full after half a frame landed: the journal truncates to
-        # its last complete frame before the error reaches the bus,
-        # whose requeue then journals the batch again exactly once.
+        # Disk full after half of a flush's single write landed: the
+        # journal truncates to its last complete frame before the error
+        # reaches the bus, which requeues the whole flush; the next
+        # flush journals every batch of it exactly once.
         path = tmp_path / "ingest.journal"
         journal = IngestJournal(path)
         real = journal._fh
@@ -419,7 +434,7 @@ class TestIngestJournal:
 
             def write(self, data):
                 HalfWrite.writes += 1
-                if HalfWrite.writes == 2:
+                if HalfWrite.writes == 1:
                     real.write(bytes(data[:len(data) // 2]))
                     raise OSError(errno.ENOSPC, "No space left on device")
                 return real.write(data)
@@ -434,19 +449,80 @@ class TestIngestJournal:
             (c, m, t.tolist(), v.tolist())))
         bus.publish_points("web", "cpu", [1.0, 2.0], [1.0, 2.0])
         bus.flush()
+        size = path.stat().st_size
         bus.publish_points("web", "cpu", [3.0], [3.0])
         bus.publish_points("db", "mem", [1.0, 2.0], [5.0, 6.0])
         bus.publish_points("db", "io", [1.0], [7.0])
         journal._fh = HalfWrite()
         with pytest.raises(OSError):
             bus.flush()
-        assert bus.pending_points == 3  # db/mem and db/io requeued
-        bus.flush()
+        assert path.stat().st_size == size  # the whole flush cut back
+        assert len(delivered) == 1  # none of the flush delivered
+        assert bus.pending_points == 4  # all of it requeued
+        assert bus.flush() == 4
+        assert HalfWrite.writes == 2  # one write per flush
         journal.close()
         replayed = [(c, m, t.tolist(), v.tolist())
                     for c, m, t, v in replay_journal(path)]
         assert replayed == delivered
         assert sum(len(t) for _c, _m, t, _v in replayed) == 6
+
+    def test_over_long_name_mid_flush_writes_nothing(self, tmp_path):
+        path = tmp_path / "ingest.journal"
+        journal = IngestJournal(path)
+        bus = IngestionBus()
+        bus.attach_journal(journal)
+        delivered = []
+        bus.subscribe(lambda c, m, t, v: delivered.append((c, m)))
+        bus.publish_points("web", "cpu", [1.0, 2.0], [1.0, 2.0])
+        bus.publish_points("web", "m" * 70_000, [1.0], [1.0])
+        bus.publish_points("db", "mem", [1.0], [1.0])
+        size = path.stat().st_size
+        with pytest.raises(ValueError, match="byte limit"):
+            bus.flush()
+        assert path.stat().st_size == size
+        assert journal.records_written == 0
+        assert bus.stats.journaled_batches == 0
+        assert delivered == []
+        assert bus.pending_points == 4
+        journal.close()
+        assert journal_record_count(path) == 0
+
+    def test_crash_between_journal_and_delivery_restores_once(
+            self, tmp_path):
+        # The whole flush is journaled, then the first subscriber raises
+        # on every batch and the engine is dropped before anything
+        # reached the rings: a restore rebuilds every key exactly once.
+        from repro.streaming import StreamingSieve
+
+        path = tmp_path / "ingest.journal"
+        config = StreamingConfig(window=20.0, hop=10.0, retention=1e6)
+
+        def explode(component, metric, times, values):
+            raise RuntimeError("crash before delivery")
+
+        bus = IngestionBus()
+        bus.subscribe(explode)
+        engine = StreamingSieve(config=config, seed=1, bus=bus,
+                                journal=IngestJournal(path))
+        sent = {("web", "cpu"): [1.0, 2.0, 3.0], ("web", "mem"): [1.0],
+                ("db", "io"): [0.5, 1.5]}
+        for (component, metric), times in sent.items():
+            bus.publish_points(component, metric, times, times)
+        with pytest.raises(RuntimeError, match="crash before delivery"):
+            bus.flush()
+        assert engine.windows.total_points() == 0
+        state = checkpoint_state(engine)
+        engine.bus.journal.close()
+        del engine, bus
+
+        restored = restore_engine(state, config, journal_path=path)
+        for (component, metric), times in sent.items():
+            ring = restored.windows.series(component, metric)
+            assert ring.times.tolist() == times
+            assert ring.values.tolist() == times
+        assert restored.windows.total_points() == 6
+        restored.close()
 
     def test_reopen_repairs_torn_tail_before_appending(self, tmp_path):
         path = tmp_path / "ingest.journal"
@@ -498,7 +574,7 @@ class TestIngestJournal:
 
     def test_failing_journal_write_requeues_everything(self, tmp_path):
         class BrokenJournal:
-            def append_batch(self, *_args):
+            def append_batches(self, _batches):
                 raise OSError("disk full")
 
             def commit(self):

@@ -19,11 +19,15 @@ Covers the PR's acceptance surface:
 """
 
 import json
+import socket
+import struct
 import threading
 import urllib.error
 import urllib.request
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import PipelineBuilder, RunSpec, ServiceSpec, load_spec
 from repro.api.spec import loads_spec, spec_to_toml
@@ -36,7 +40,7 @@ from repro.obs import (
     SourceGate,
     decode_payload,
 )
-from repro.obs.ingest import decode_json, decode_text
+from repro.obs.ingest import _number, _numbers, decode_json, decode_text
 from repro.streaming import StreamingSieve
 from repro.tracing.callgraph import CallGraph
 
@@ -140,6 +144,40 @@ class TestDecodeJson:
             decode_json(json.dumps({"seq": 1, "batches": [
                 {"component": "a", "time": 1.0, "metrics": {"m": 1.0}},
             ]}).encode())
+
+    def test_integer_beyond_float_range_is_a_decode_error(self):
+        huge = "1" + "0" * 400
+        for batch in (
+                f'{{"component": "a", "metric": "m", "times": [1], '
+                f'"values": [{huge}]}}',
+                f'{{"component": "a", "metric": "m", "times": [{huge}], '
+                f'"values": [1]}}',
+                f'{{"component": "a", "time": 1, "metrics": {{"m": {huge}}}}}'):
+            with pytest.raises(IngestError, match="out of float range"):
+                decode_json(f"[{batch}]".encode())
+
+    @given(st.lists(st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True,
+                  allow_subnormal=True),
+        st.integers(),
+        st.integers(-10**400, 10**400),
+        st.sampled_from([1e308, -1e308, 1.7976931348623157e308, -0.0]),
+        st.booleans(), st.none(), st.text(max_size=3),
+        st.lists(st.integers(), max_size=2),
+    ), max_size=8), st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_bulk_numbers_equal_the_per_item_path(self, items, finite):
+        # The one-pass path accepts exactly what _number accepts, as the
+        # same floats, and fails with the same message otherwise.
+        def outcome(convert):
+            try:
+                return struct.pack(f"<{len(items)}d", *convert())
+            except IngestError as exc:
+                return str(exc)
+
+        assert outcome(lambda: _numbers(items, "times[]", finite)) \
+            == outcome(lambda: [_number(item, "times[]", finite)
+                                for item in items])
 
 
 class TestDecodeText:
@@ -364,6 +402,30 @@ class TestHttpHygiene:
         status, headers, _body = _post(session.url + "/api/windows",
                                        {})
         assert status == 405
+
+    @pytest.mark.parametrize("length, status, error", [
+        ("-1", 400, "invalid Content-Length header"),
+        ("abc", 400, "invalid Content-Length header"),
+        (str(16 * 1024 * 1024 + 1), 413, "body exceeds 16777216 bytes"),
+    ])
+    def test_bad_content_length(self, session, length, status, error):
+        # Over a raw socket: an HTTP client library would not send
+        # these headers.
+        with socket.create_connection(
+                (session.server.host, session.server.port),
+                timeout=10) as sock:
+            sock.sendall(
+                f"POST /ingest HTTP/1.1\r\nHost: x\r\n"
+                f"Content-Type: application/json\r\n"
+                f"Content-Length: {length}\r\nConnection: close\r\n\r\n"
+                .encode())
+            response = b""
+            while chunk := sock.recv(65536):
+                response += chunk
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.split()[1] == str(status).encode()
+        assert json.loads(body) == {"error": error}
+        assert session.engine.bus.stats.points_published == 0
 
     def test_unknown_route_is_still_404(self, session):
         status, _headers, body = _get(session.url + "/nope")

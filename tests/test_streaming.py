@@ -1,6 +1,9 @@
 """Tests for the streaming analysis engine (ingestion, windows, drift,
 streaming-vs-batch convergence, live consumers)."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 from repro.causality.depgraph import edge_jaccard
 from repro.core import StreamingConfig
 from repro.metrics.timeseries import MetricKey
+from repro.persistence import IngestJournal
 from repro.simulator import (
     Application,
     CallSpec,
@@ -302,19 +306,167 @@ class TestIngestionBus:
 
     def test_failing_subscriber_does_not_drop_other_buffers(self):
         bus = IngestionBus()
+        delivered = []
 
         def explode(component, metric, times, values):
             if metric == "bad":
                 raise RuntimeError("sink failure")
+            delivered.append((component, metric, times.tolist()))
 
         bus.subscribe(explode)
         bus.publish_points("web", "bad", [1.0], [1.0])
         bus.publish_points("web", "cpu", [1.0], [1.0])
         bus.publish_points("db", "mem", [1.0], [1.0])
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError, match="sink failure"):
             bus.flush()
-        # Everything after the failing batch is requeued, not lost.
-        assert bus.pending_points >= 1
+        # Every other batch is delivered at once; none is requeued, and
+        # the failing one is not retried.
+        assert delivered == [("web", "cpu", [1.0]), ("db", "mem", [1.0])]
+        assert bus.pending_points == 0
+        assert bus.stats.points_flushed == 2
+        assert bus.flush() == 0
+
+    def test_first_sink_error_is_raised_after_every_batch(self):
+        bus = IngestionBus()
+        seen = []
+
+        def explode(component, metric, times, values):
+            seen.append(metric)
+            raise RuntimeError(metric)
+
+        bus.subscribe(explode)
+        for metric in ("a", "b", "c"):
+            bus.publish_points("web", metric, [1.0], [1.0])
+        with pytest.raises(RuntimeError, match="^a$"):
+            bus.flush()
+        assert seen == ["a", "b", "c"]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf")])
+    def test_non_finite_time_is_rejected_in_process(self, bad):
+        # In-process publishers skip the HTTP decoders' 400: a
+        # non-finite time must neither empty the ring nor disable the
+        # key's ordering guard.
+        bus = IngestionBus()
+        store = WindowStore()
+        bus.subscribe(store)
+        bus.publish_points("web", "cpu", [1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+        bus.flush()
+        bus.publish("web", bad, {"cpu": 9.0, "mem": 9.0})
+        bus.publish_points("web", "cpu", [4.0, bad], [1.0, 2.0])
+        assert bus.stats.rejected_points == 4
+        assert bus.pending_points == 0
+        bus.publish_points("web", "cpu", [0.5], [7.0])  # behind the guard
+        assert bus.stats.rejected_points == 5
+        bus.publish("web", 4.0, {"cpu": 4.0})
+        bus.flush()
+        ring = store.series("web", "cpu")
+        assert ring.times.tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert ring.values.tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert ring.evicted == 0
+        assert store.series("web", "mem") is None
+
+    def test_finite_times_whose_sum_overflows_are_accepted(self):
+        bus = IngestionBus()
+        bus.publish_points("web", "cpu", [1e308, 1e308], [1.0, 2.0])
+        assert bus.stats.rejected_points == 0
+        assert bus.pending_points == 2
+
+
+_BUS_KEYS = [("web", "cpu"), ("web", "mem"), ("db", "io")]
+_bus_times = st.one_of(
+    st.integers(-2, 12).map(lambda n: n * 0.5),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0,
+                     5e-324, 1e308]),
+)
+_bus_values = st.floats(allow_nan=True, allow_infinity=True,
+                        allow_subnormal=True)
+
+
+#: Input forms that are not decoder output, so take the array path.
+_FORMS = {
+    "array": np.array,
+    "tuple": tuple,
+    "scalars": lambda x: [np.float64(item) for item in x],
+    "column": lambda x: np.array(x, dtype=float).reshape(-1, 1),
+}
+
+
+@st.composite
+def _published_run(draw):
+    """``(key, the run as float lists, the same run in another form)``:
+    integer lists or tuples, or floats as arrays, tuples, numpy scalars
+    or a column."""
+    key = draw(st.sampled_from(_BUS_KEYS))
+    size = draw(st.integers(0, 6))
+    if draw(st.integers(0, 3)) == 0:
+        times = draw(st.lists(st.integers(-1, 6), min_size=size,
+                              max_size=size))
+        values = draw(st.lists(st.integers(-2**53, 2**53), min_size=size,
+                               max_size=size))
+        form = draw(st.sampled_from([list, tuple]))
+    else:
+        times = draw(st.lists(_bus_times, min_size=size, max_size=size))
+        values = draw(st.lists(_bus_values, min_size=size, max_size=size))
+        form = _FORMS[draw(st.sampled_from(sorted(_FORMS)))]
+    if draw(st.booleans()):
+        times.sort()
+    return (key, [float(t) for t in times], [float(v) for v in values],
+            (form(times), form(values)))
+
+
+class _BusStack:
+    """A bus with a journal and a recording subscriber."""
+
+    def __init__(self, path, clip):
+        self.bus = IngestionBus()
+        self.journal = IngestJournal(path)
+        self.bus.attach_journal(self.journal)
+        self.delivered = []
+        self.bus.subscribe(lambda c, m, t, v: self.delivered.append(
+            (c, m, t.tobytes(), v.tobytes())))
+        if clip:
+            self.bus.arm_resume_clip(clip)
+
+    def state(self) -> str:
+        """Buffers, stats, guards, clip and deliveries; the repr keeps
+        NaN equal to itself and ``-0.0`` apart from ``0.0``."""
+        bus = self.bus
+        return repr((
+            {key: (b.times[b.start:], b.values[b.start:], b.last_time)
+             for key, b in bus._buffers.items()},
+            bus.stats.as_dict(), bus._high_water, bus._resume_clip,
+            bus.pending_points, self.delivered,
+        ))
+
+
+class TestPublishPathEquivalence:
+    @given(st.lists(st.tuples(_published_run(), st.booleans()),
+                    max_size=12),
+           st.dictionaries(st.sampled_from(_BUS_KEYS),
+                           st.integers(-1, 8).map(lambda n: n * 0.5),
+                           max_size=2))
+    @settings(max_examples=200, deadline=None)
+    def test_float_lists_equal_every_other_input_form(self, runs, clip):
+        # The list-native path (decoder output) and the array path
+        # (everything else) buffer, count, deliver and journal the
+        # same floats, bit for bit.
+        with tempfile.TemporaryDirectory() as scratch:
+            lists = _BusStack(Path(scratch) / "lists.journal", clip)
+            others = _BusStack(Path(scratch) / "others.journal", clip)
+            for (key, times, values, other), flush in runs:
+                lists.bus.publish_points(*key, times, values)
+                others.bus.publish_points(*key, *other)
+                if flush:
+                    assert lists.bus.flush() == others.bus.flush()
+                assert lists.state() == others.state()
+            lists.bus.flush()
+            others.bus.flush()
+            assert lists.state() == others.state()
+            lists.journal.close()
+            others.journal.close()
+            assert lists.journal.path.read_bytes() \
+                == others.journal.path.read_bytes()
 
 
 # ---------------------------------------------------------------------------
