@@ -25,8 +25,8 @@ import time
 
 import numpy as np
 
+from repro.api.registry import EXECUTORS
 from repro.metrics.timeseries import MetricFrame, MetricKey, TimeSeries
-from repro.parallel import make_executor
 from repro.core import StreamingConfig
 from repro.stats.correlation import sbd, sbd_matrix
 from repro.stats.timeseries_ops import znormalize
@@ -92,7 +92,7 @@ def test_executor_scaling():
         timings: dict = {}
         reference = None
         for kind, workers in STRATEGIES:
-            executor = make_executor(kind, workers)
+            executor = EXECUTORS.create(kind, workers)
             analyzer = WindowAnalyzer(config=StreamingConfig(),
                                       seed=11, executor=executor)
             # One warm-up pass pays pool spin-up outside the timing

@@ -57,6 +57,9 @@ class Session:
         self.telemetry: Any = None
         """Self-telemetry handle (:class:`repro.obs.Telemetry`) for
         session kinds that instrument themselves; None otherwise."""
+        self.executor: Any = None
+        """The spec's shard executor, for the modes that analyze a run
+        once (``pipeline``, ``replay``, ``rca``); None otherwise."""
 
         self._closed = False
 
@@ -75,6 +78,8 @@ class Session:
     def _close_impl(self) -> None:
         if self.backend is not None:
             self.backend.close()
+        if self.executor is not None:
+            self.executor.close()
 
     def __enter__(self) -> "Session":
         return self
@@ -108,6 +113,13 @@ def _build_workload(spec: RunSpec) -> Any:
     w: WorkloadSpec = spec.workload
     return WORKLOADS.create(w.kind, duration=spec.duration,
                             seed=spec.seed, rate=w.rate, **w.options)
+
+
+def _open_executor(spec: RunSpec) -> Any:
+    """The shard executor the spec declares (``streaming.executor``)."""
+    config = spec.streaming
+    return EXECUTORS.create(config.executor,
+                            config.executor_workers or None)
 
 
 def _clear_backend_path(path: Path) -> None:
@@ -149,7 +161,9 @@ class BatchSession(Session):
 
         self.application = APPLICATIONS.create(spec.app)
         self.workload = _build_workload(spec)
-        self.sieve = Sieve(self.application, config=spec.sieve)
+        self.executor = _open_executor(spec)
+        self.sieve = Sieve(self.application, config=spec.sieve,
+                           executor=self.executor)
 
     def run(self) -> Any:
         """Execute the batch pipeline; returns the
@@ -694,6 +708,7 @@ class ReplaySession(Session):
         self.backend = BACKENDS.create(spec.storage.kind,
                                        spec.storage.path,
                                        **spec.storage.options)
+        self.executor = _open_executor(spec)
 
     def run(self) -> ReplayOutcome:
         from repro.core.sieve import Sieve
@@ -729,15 +744,8 @@ class ReplaySession(Session):
             application = APPLICATIONS.create(application_name)
         else:
             application = APPLICATIONS.create("sharelatex")
-        config = spec.streaming
-        executor = EXECUTORS.create(config.executor,
-                                    config.executor_workers or None)
-        try:
-            result = Sieve(application, config=spec.sieve,
-                           executor=executor) \
-                .analyze(run, seed=run.seed)
-        finally:
-            executor.close()
+        result = Sieve(application, config=spec.sieve,
+                       executor=self.executor).analyze(run, seed=run.seed)
 
         # Table 3 from disk: replay everything vs representatives.
         keep = result.representative_keys()
@@ -772,7 +780,9 @@ class RCASession(Session):
         from repro.core.sieve import Sieve
 
         self.application = APPLICATIONS.create(spec.app)
-        self.sieve = Sieve(self.application, config=spec.sieve)
+        self.executor = _open_executor(spec)
+        self.sieve = Sieve(self.application, config=spec.sieve,
+                           executor=self.executor)
         self.iterations = int(spec.extra.get("iterations", 15))
         self.threshold = float(spec.extra.get("threshold", 0.5))
 

@@ -23,7 +23,6 @@ from repro.clustering.reduction import (
     Cluster,
     ComponentClustering,
     reduce_component,
-    reduce_frame,
 )
 
 __all__ = [
@@ -33,6 +32,5 @@ __all__ = [
     "kshape",
     "name_based_labels",
     "reduce_component",
-    "reduce_frame",
     "select_k",
 ]

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.clustering.model_selection import DEFAULT_MAX_K, select_k
-from repro.metrics.timeseries import MetricFrame, TimeSeries
+from repro.metrics.timeseries import TimeSeries
 from repro.stats.correlation import sbd, sbd_pairs
 from repro.stats.interpolate import DEFAULT_GRID_INTERVAL, align_series
 from repro.stats.timeseries_ops import (
@@ -245,36 +245,3 @@ def reduce_component_task(
         seed=seed,
     )
 
-
-def reduce_frame(
-    frame: MetricFrame,
-    interval: float = DEFAULT_GRID_INTERVAL,
-    variance_threshold: float = DEFAULT_VARIANCE_THRESHOLD,
-    max_k: int = DEFAULT_MAX_K,
-    seed: int = 0,
-    executor=None,
-) -> dict[str, ComponentClustering]:
-    """Reduce every component of a recorded run.
-
-    ``executor`` (a :class:`repro.parallel.executor.ShardExecutor`, or
-    anything with an order-preserving ``map``) fans the per-component
-    reductions out to workers; None runs them inline.  Components are
-    reduced independently, so the merged result is identical either
-    way.
-    """
-    payloads = [
-        reduce_payload(
-            component,
-            frame.component_view(component),
-            interval=interval,
-            variance_threshold=variance_threshold,
-            max_k=max_k,
-            seed=seed,
-        )
-        for component in frame.components
-    ]
-    if executor is None:
-        results = [reduce_component_task(payload) for payload in payloads]
-    else:
-        results = executor.map(reduce_component_task, payloads)
-    return dict(results)

@@ -9,13 +9,16 @@
 3. **Identify dependencies** between communicating components via
    Granger causality (:mod:`repro.causality`).
 
+Steps 2 and 3 run through :class:`~repro.streaming.analyzer.WindowAnalyzer`
+as one full-retention window, so batch and streaming share one analysis
+path; :mod:`repro.core.incremental` holds its reuse helpers.
+
 The tunables live in :class:`~repro.core.config.SieveConfig`; the
 outcome is a :class:`~repro.core.results.SieveResult` consumed by the
 autoscaling and RCA engines.
 """
 
 from repro.core.config import SieveConfig, StreamingConfig
-from repro.core.incremental import analyze_incremental
 from repro.core.results import SieveResult
 from repro.core.serialize import (
     AnalysisSnapshot,
@@ -32,7 +35,6 @@ __all__ = [
     "SieveConfig",
     "SieveResult",
     "StreamingConfig",
-    "analyze_incremental",
     "from_snapshot",
     "load_snapshot",
     "save_snapshot",

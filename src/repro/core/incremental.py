@@ -1,55 +1,35 @@
-"""Incremental re-analysis (the paper's §9 future work).
+"""Incremental reuse helpers (the paper's §9 future work).
 
 "An interesting research challenge for the future would be to integrate
 Sieve into the continuous integration pipeline of an application
 development.  In this scenario, the dependency graph can be updated
 incrementally, which would speed up the analytics part."
 
-This module implements that extension: given the previous
-:class:`~repro.core.results.SieveResult` and a fresh
-:class:`~repro.simulator.app.LoadedRun`, only the components whose
-metric population actually changed (metrics appeared/disappeared -- the
-typical footprint of a deployed update) are re-clustered, and only the
-Granger comparisons touching re-clustered components are re-run.  For
-an update that touches one or two of fifteen components, this cuts the
-analysis time by roughly the fraction of untouched components.
+:class:`~repro.streaming.analyzer.WindowAnalyzer` is that incremental
+update: per window it re-clusters only the components that moved and
+re-tests only the Granger comparisons touching them.  The batch
+:class:`~repro.core.sieve.Sieve` is the same analyzer run once, over a
+single window holding the whole recorded run.  This module holds the
+three pure helpers behind the reuse decision:
 
-The shortcut is an approximation by design: unchanged components keep
-their clusters *and representative metrics* from the previous analysis,
-so slow drifts in metric behaviour (with an unchanged metric set) are
-not picked up until the next full analysis.  Run a full
-:meth:`repro.core.sieve.Sieve.analyze` periodically, incremental
-updates in between -- or use the streaming engine
-(:mod:`repro.streaming`), whose drift detector escalates exactly the
-drifted components to a re-cluster between full analyses.
+* :func:`changed_metric_components` -- components whose exported metric
+  set differs from what the previous clusterings cover (metrics that
+  appeared or disappeared: the typical footprint of a deployed update);
+* :func:`restricted_call_graph` -- the call-graph edges with at least
+  one changed end, the only ones worth re-testing;
+* :func:`merge_dependency_graphs` -- fresh relations overlaid on the
+  reusable part of the previous graph.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.causality.depgraph import DependencyGraph
-from repro.causality.pairwise import extract_dependencies
-from repro.clustering.reduction import reduce_component
-from repro.core.config import SieveConfig
-from repro.core.results import SieveResult
-from repro.simulator.app import LoadedRun
 from repro.tracing.callgraph import CallGraph
-
-
-@dataclass
-class IncrementalStats:
-    """What the incremental update actually had to recompute."""
-
-    reclustered: list[str]
-    reused: list[str]
-    edges_retested: int
-    edges_reused: int
 
 
 def changed_metric_components(clusterings: dict, frame) -> list[str]:
     """Components of ``frame`` whose metric set differs from what the
-    given clusterings cover (the streaming engine shares this check)."""
+    given clusterings cover."""
     changed = []
     for component in frame.components:
         clustering = clusterings.get(component)
@@ -64,11 +44,6 @@ def changed_metric_components(clusterings: dict, frame) -> list[str]:
         if set(frame.metrics_of(component)) != seen_before:
             changed.append(component)
     return changed
-
-
-def changed_components(previous: SieveResult, run: LoadedRun) -> list[str]:
-    """Components whose exported metric set differs from last analysis."""
-    return changed_metric_components(previous.clusterings, run.frame)
 
 
 def restricted_call_graph(call_graph: CallGraph,
@@ -112,60 +87,3 @@ def merge_dependency_graphs(
     for relation in fresh.relations:
         merged.add_relation(relation)
     return merged, edges_reused
-
-
-def analyze_incremental(
-    previous: SieveResult,
-    run: LoadedRun,
-    config: SieveConfig | None = None,
-    seed: int = 0,
-) -> tuple[SieveResult, IncrementalStats]:
-    """Update ``previous`` with a fresh run, recomputing only what moved.
-
-    Returns the updated result plus bookkeeping about the reuse.  The
-    returned result's ``run`` is the *new* run; clusterings of
-    unchanged components are carried over from ``previous``.
-    """
-    cfg = config or SieveConfig()
-    changed = set(changed_components(previous, run))
-
-    clusterings = {}
-    reused, reclustered = [], []
-    for component in run.frame.components:
-        if component in changed:
-            clusterings[component] = reduce_component(
-                component,
-                run.frame.component_view(component),
-                interval=cfg.grid_interval,
-                variance_threshold=cfg.variance_threshold,
-                max_k=cfg.max_clusters,
-                seed=seed,
-            )
-            reclustered.append(component)
-        else:
-            clusterings[component] = previous.clusterings[component]
-            reused.append(component)
-
-    # Re-test only the call-graph edges with at least one changed end;
-    # relations between untouched components carry over.
-    touched_graph = restricted_call_graph(run.call_graph, changed)
-    fresh = extract_dependencies(
-        run.frame, touched_graph, clusterings,
-        alpha=cfg.granger_alpha, lags=cfg.granger_lags,
-        interval=cfg.grid_interval,
-        filter_bidirectional=cfg.filter_bidirectional,
-    )
-
-    merged, edges_reused = merge_dependency_graphs(
-        previous.dependency_graph, fresh, changed, clusterings.keys()
-    )
-
-    result = SieveResult(run=run, clusterings=clusterings,
-                         dependency_graph=merged)
-    stats = IncrementalStats(
-        reclustered=sorted(reclustered),
-        reused=sorted(reused),
-        edges_retested=len(fresh),
-        edges_reused=edges_reused,
-    )
-    return result, stats

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from repro.causality.pairwise import extract_dependencies
-from repro.clustering.reduction import reduce_frame
-from repro.core.config import SieveConfig
+from repro.core.config import SieveConfig, StreamingConfig
 from repro.core.results import SieveResult
 from repro.simulator.app import Application, LoadedRun
 from repro.simulator.faults import FaultPlan
@@ -12,6 +10,11 @@ from repro.simulator.faults import FaultPlan
 
 class Sieve:
     """Runs Load -> Reduce -> Identify-dependencies for one application.
+
+    Steps 2 and 3 are the streaming analysis applied once: a recorded
+    run is analyzed as a single full-retention window of a fresh
+    :class:`~repro.streaming.analyzer.WindowAnalyzer`, so batch and
+    streamed results come from the same code.
 
     >>> from repro.apps import build_sharelatex_application
     >>> from repro.workload import constant_rate
@@ -58,26 +61,16 @@ class Sieve:
 
     def analyze(self, run: LoadedRun, seed: int = 0) -> SieveResult:
         """Reduce metrics and extract dependencies from a recorded run."""
-        cfg = self.config
-        clusterings = reduce_frame(
-            run.frame,
-            interval=cfg.grid_interval,
-            variance_threshold=cfg.variance_threshold,
-            max_k=cfg.max_clusters,
-            seed=seed,
-            executor=self.executor,
-        )
-        graph = extract_dependencies(
-            run.frame,
-            run.call_graph,
-            clusterings,
-            alpha=cfg.granger_alpha,
-            lags=cfg.granger_lags,
-            interval=cfg.grid_interval,
-            filter_bidirectional=cfg.filter_bidirectional,
-        )
-        return SieveResult(run=run, clusterings=clusterings,
-                           dependency_graph=graph)
+        # Local import: repro.streaming's package init imports the
+        # stream driver, which imports this module.
+        from repro.streaming.analyzer import WindowAnalyzer
+
+        analyzer = WindowAnalyzer(StreamingConfig(sieve=self.config),
+                                  seed=seed, executor=self.executor)
+        window = analyzer.analyze(run.frame, run.call_graph,
+                                  0.0, run.duration)
+        return SieveResult(run=run, clusterings=window.clusterings,
+                           dependency_graph=window.dependency_graph)
 
     # -- the full pipeline ---------------------------------------------------
 

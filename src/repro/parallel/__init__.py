@@ -17,7 +17,6 @@ from repro.parallel.executor import (
     ProcessShardExecutor,
     ShardExecutor,
     default_workers,
-    make_executor,
 )
 
 __all__ = [
@@ -25,5 +24,4 @@ __all__ = [
     "ProcessShardExecutor",
     "ShardExecutor",
     "default_workers",
-    "make_executor",
 ]

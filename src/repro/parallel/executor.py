@@ -46,8 +46,9 @@ class ShardExecutor:
     """Base strategy: run shard tasks inline, in submission order.
 
     Also the ``serial`` strategy itself -- and the documented fallback
-    that :func:`make_executor` returns for any pool sized at one
-    worker, where a pool only adds dispatch overhead.
+    that the ``process`` registry factory
+    (:data:`repro.api.registry.EXECUTORS`) returns for any pool sized
+    at one worker, where a pool only adds dispatch overhead.
     """
 
     kind = "serial"
@@ -127,27 +128,3 @@ class ProcessShardExecutor(ShardExecutor):
             self._pool.shutdown(wait=True)
             self._pool = None
 
-
-def make_executor(
-    kind: str = "serial",
-    workers: int | None = None,
-) -> ShardExecutor:
-    """Build the executor for a registered strategy name.
-
-    ``kind`` resolves through the plugin registry
-    (:data:`repro.api.registry.EXECUTORS`), so strategies registered
-    via :func:`repro.api.register_executor` work exactly like the
-    builtins.  ``workers=None`` (or 0) sizes pools to
-    :func:`default_workers`.  The ``process`` strategy pinned to a
-    single worker falls back to the serial executor: one worker cannot
-    overlap anything, so the pool would only add dispatch and pickling
-    overhead (the "pool-size-1 fallback" the tests pin down).
-    """
-    # Local import: the registry module is a leaf, but repro.api must
-    # not be a hard import at executor load time.
-    from repro.api.registry import EXECUTORS
-
-    sized = workers if workers else None
-    if sized is not None and sized < 1:
-        raise ValueError("workers must be >= 1")
-    return EXECUTORS.create(kind, sized)

@@ -44,7 +44,7 @@ from repro.persistence.retention import (
     parse_duration,
     rollup_arrays,
 )
-from repro.persistence.spill import SpillBackend, open_backend
+from repro.persistence.spill import SpillBackend
 from repro.persistence.sqlite_backend import SqliteBackend
 
 #: Checkpoint symbols resolve lazily (PEP 562): checkpoint.py imports
@@ -84,7 +84,6 @@ __all__ = [
     "journal_record_count",
     "journal_segments",
     "load_checkpoint",
-    "open_backend",
     "parse_duration",
     "replay_journal",
     "restore_engine",

@@ -550,15 +550,3 @@ class SpillBackend(BackendBase):
         super().set_metadata(meta)
         self._write_index()
 
-
-def open_backend(kind: str, path, **kwargs):
-    """Construct a backend by registered name.
-
-    Resolves through the plugin registry
-    (:data:`repro.api.registry.BACKENDS`), so backends registered via
-    :func:`repro.api.register_backend` open exactly like the builtins
-    (memory / sqlite / spill).
-    """
-    from repro.api.registry import BACKENDS
-
-    return BACKENDS.create(kind, path, **kwargs)

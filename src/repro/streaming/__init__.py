@@ -1,20 +1,22 @@
 """Streaming analysis engine: Sieve as a continuously running service.
 
 The batch pipeline (:class:`repro.core.sieve.Sieve`) analyzes one
-completed :class:`~repro.simulator.app.LoadedRun`.  This subpackage
-turns load -> reduce -> identify into an online loop over live
-ingestion, the deployment model the paper's Telegraf -> InfluxDB
-collector implies and its §9 names as future work:
+completed :class:`~repro.simulator.app.LoadedRun` as a single window
+of this subpackage's analyzer.  The subpackage turns load -> reduce ->
+identify into an online loop over live ingestion, the deployment model
+the paper's Telegraf -> InfluxDB collector implies and its §9 names as
+future work:
 
 * :mod:`repro.streaming.bus` -- batched point ingestion, fanned out to
   subscribers in vectorized flushes;
 * :mod:`repro.streaming.window` -- bounded per-component ring-buffer
   windows (retention by age and count);
 * :mod:`repro.streaming.drift` -- behaviour-drift detection against
-  frozen cluster baselines, closing the documented blind spot of
-  :mod:`repro.core.incremental`;
+  frozen cluster baselines, closing the blind spot of reuse keyed on
+  the metric set alone;
 * :mod:`repro.streaming.analyzer` -- windowed reduce + identify with
-  incremental reuse and drift-triggered re-clustering;
+  incremental reuse and drift-triggered re-clustering (the one
+  analysis path, batch included);
 * :mod:`repro.streaming.engine` -- the tick-driven engine gluing bus,
   windows, analyzer and consumers together;
 * :mod:`repro.streaming.consumers` -- live case-study consumers

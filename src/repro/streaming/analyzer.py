@@ -1,18 +1,21 @@
 """Windowed Sieve analysis with incremental reuse and drift escalation.
 
-Per window the analyzer decides, component by component, whether the
-previous clustering still stands:
+The one analysis path of the package: streamed windows run through it,
+and so does the batch :class:`~repro.core.sieve.Sieve`, as a single
+window holding the whole recorded run.  Per window the analyzer
+decides, component by component, whether the previous clustering
+still stands:
 
 * no previous analysis (or a scheduled full refresh) -> re-cluster;
-* the exported metric set changed (deploy footprint, exactly the
-  trigger of :mod:`repro.core.incremental`) -> re-cluster;
+* the exported metric set changed (deploy footprint) -> re-cluster;
 * the drift detector flags behavioural drift -> re-cluster;
 * otherwise the previous clustering (and every dependency-graph
   relation between untouched components) is reused.
 
 Granger re-testing is restricted to call-graph edges touching a
-re-clustered component, via the same helpers the batch incremental
-path uses, so the per-window cost scales with how much actually moved.
+re-clustered component, via the helpers of
+:mod:`repro.core.incremental`, so the per-window cost scales with how
+much actually moved.
 """
 
 from __future__ import annotations
@@ -180,7 +183,7 @@ class WindowAnalyzer:
                  telemetry: Telemetry | None = None):
         """``executor`` decides where per-component shards (reduce +
         re-cluster, drift shape checks) run -- inline by default; see
-        :func:`repro.parallel.executor.make_executor`.  Results are
+        :data:`repro.api.registry.EXECUTORS`.  Results are
         merged in component order, so every strategy produces the same
         analysis.  ``telemetry`` supplies the span tracer the per-window
         timing runs through (a private disabled instance otherwise --

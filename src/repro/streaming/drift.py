@@ -1,9 +1,9 @@
 """Behaviour-drift detection against frozen cluster baselines.
 
-``core/incremental.py`` documents its own blind spot: components whose
+Reuse keyed on the metric set alone has a blind spot: components whose
 *metric set* is unchanged keep their clusters and representatives, so a
 slow behavioural drift is invisible until the next full analysis.  This
-module closes that gap for the streaming engine.
+module closes that gap for the windowed analyzer.
 
 Whenever a component is (re)clustered, the detector *rebases*: it
 freezes, per clustered metric, the location/spread of the raw samples

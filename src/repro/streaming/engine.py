@@ -16,7 +16,7 @@ from collections import deque
 
 from repro.core.config import StreamingConfig
 from repro.obs.telemetry import Telemetry
-from repro.parallel.executor import ShardExecutor, make_executor
+from repro.parallel.executor import ShardExecutor
 from repro.streaming.analyzer import (
     StreamingStats,
     WindowAnalysis,
@@ -72,7 +72,7 @@ class StreamingSieve:
         # The detector implementation is a registry-resolved policy
         # choice (config.drift_detector), so seasonality-aware or
         # per-metric-adaptive detectors plug in without engine edits.
-        from repro.api.registry import DRIFT_DETECTORS
+        from repro.api.registry import DRIFT_DETECTORS, EXECUTORS
 
         self.drift: DriftDetector = DRIFT_DETECTORS.create(
             self.config.drift_detector,
@@ -80,8 +80,8 @@ class StreamingSieve:
             shape_threshold=self.config.drift_shape_threshold,
         )
         self.executor = executor if executor is not None else \
-            make_executor(self.config.executor,
-                          self.config.executor_workers or None)
+            EXECUTORS.create(self.config.executor,
+                             self.config.executor_workers or None)
         self.analyzer = WindowAnalyzer(
             config=self.config, drift_detector=self.drift, seed=seed,
             executor=self.executor, telemetry=self.telemetry,

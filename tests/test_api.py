@@ -57,13 +57,12 @@ from repro.core.serialize import (
     streaming_config_to_dict,
 )
 from repro.metrics.timeseries import MetricKey
-from repro.parallel.executor import ShardExecutor, make_executor
+from repro.parallel.executor import ShardExecutor
 from repro.persistence import (
     MemoryBackend,
     SpillBackend,
     SqliteBackend,
     load_checkpoint,
-    open_backend,
     restore_engine,
     save_checkpoint,
 )
@@ -158,7 +157,7 @@ class TestRegistries:
                 register_backend("test-null", lambda path: None)
             register_backend("test-null", lambda path, **kw:
                              MemoryBackend(), replace=True)
-            assert isinstance(open_backend("test-null", None),
+            assert isinstance(BACKENDS.create("test-null", None),
                               MemoryBackend)
         finally:
             BACKENDS.unregister("test-null")
@@ -175,11 +174,11 @@ class TestRegistries:
         finally:
             BACKENDS.unregister("test-decorated")
 
-    def test_make_executor_resolves_registered_strategy(self):
+    def test_executor_registry_resolves_registered_strategy(self):
         try:
             EXECUTORS.register("test-inline",
                                lambda workers=None: ShardExecutor())
-            executor = make_executor("test-inline")
+            executor = EXECUTORS.create("test-inline")
             assert executor.kind == "serial"
             # ... and the config validation accepts it too.
             StreamingConfig(executor="test-inline")
@@ -434,6 +433,48 @@ class TestLegacyVsApi:
             assert (left.index, left.start, left.end) \
                 == (right.index, right.start, right.end)
             _assert_same_analysis(left, right)
+
+
+class TestAnalyzeOnceExecutor:
+    """``pipeline``, ``replay`` and ``rca`` sessions run their analysis
+    on the executor the spec declares and shut it down on close."""
+
+    def test_pipeline_process_matches_serial(self):
+        def run(kind):
+            spec = (PipelineBuilder("demo-chain").mode("pipeline")
+                    .seed(2).duration(60.0).workload("constant", rate=40.0)
+                    .executor(kind, workers=2).spec())
+            with build_pipeline(spec) as session:
+                assert session.sieve.executor is session.executor
+                assert session.executor.kind == kind
+                result = session.run()
+            return session.executor, result
+
+        _serial, inline = run("serial")
+        executor, pooled = run("process")
+        assert executor.tasks_dispatched == 3  # one per component
+        assert executor._pool is None  # shut down by close()
+        assert _clustering_fingerprint(inline.clusterings) \
+            == _clustering_fingerprint(pooled.clusterings)
+        assert edge_jaccard(inline.dependency_graph,
+                            pooled.dependency_graph,
+                            level="metric") == 1.0
+
+    @pytest.mark.parametrize("mode", ["pipeline", "replay", "rca"])
+    def test_session_owns_the_declared_executor(self, mode, tmp_path):
+        builder = PipelineBuilder("demo-chain").mode(mode) \
+            .executor("process", workers=2)
+        if mode == "replay":
+            builder.storage("sqlite", str(tmp_path / "run.db"))
+        session = builder.build()
+        executor = session.executor
+        assert executor.kind == "process" and executor.workers == 2
+        if mode != "replay":
+            assert session.sieve.executor is executor
+        assert executor.map(abs, [-1, -2]) == [1, 2]
+        assert executor._pool is not None
+        session.close()
+        assert executor._pool is None
 
 
 # ---------------------------------------------------------------------------
@@ -997,8 +1038,8 @@ class TestSpillCompaction:
         backend.close()
 
     def test_compact_min_points_is_registry_visible(self, tmp_path):
-        backend = open_backend("spill", tmp_path / "d",
-                               compact_min_points=2)
+        backend = BACKENDS.create("spill", tmp_path / "d",
+                                  compact_min_points=2)
         assert backend.compact_min_points == 2
         backend.close()
 

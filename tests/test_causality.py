@@ -11,7 +11,7 @@ from repro.causality import (
 )
 from repro.causality.granger import make_stationary
 from repro.causality.pairwise import naive_pair_count
-from repro.clustering import reduce_frame
+from repro.clustering import reduce_component
 from repro.metrics.timeseries import MetricFrame
 from repro.tracing import CallGraph
 
@@ -183,12 +183,21 @@ def _coupled_frame(seed=0, n=300, interval=0.5):
     return frame
 
 
+def _reduce(frame):
+    """Step #2 for every component of ``frame``."""
+    return {
+        component: reduce_component(
+            component, frame.component_view(component), seed=0)
+        for component in frame.components
+    }
+
+
 class TestExtractDependencies:
     def test_finds_dependency_along_call_edge(self):
         frame = _coupled_frame()
         call_graph = CallGraph()
         call_graph.record_call("front", "back", 100)
-        clusterings = reduce_frame(frame, seed=0)
+        clusterings = _reduce(frame)
         graph = extract_dependencies(frame, call_graph, clusterings)
         assert any(
             r.source_component == "front" and r.target_component == "back"
@@ -198,7 +207,7 @@ class TestExtractDependencies:
     def test_call_graph_restricts_search(self):
         frame = _coupled_frame()
         empty_graph = CallGraph()  # no communication observed
-        clusterings = reduce_frame(frame, seed=0)
+        clusterings = _reduce(frame)
         graph = extract_dependencies(frame, empty_graph, clusterings)
         assert len(graph) == 0
 
@@ -209,7 +218,7 @@ class TestExtractDependencies:
         from repro.causality import pairwise
 
         frame = _coupled_frame()
-        clusterings = reduce_frame(frame, seed=0)
+        clusterings = _reduce(frame)
         elsewhere = CallGraph()
         elsewhere.record_call("front", "cache", 100)  # one end unknown
 
@@ -226,7 +235,7 @@ class TestExtractDependencies:
         frame = _coupled_frame()
         call_graph = CallGraph()
         call_graph.record_call("front", "back", 100)
-        clusterings = reduce_frame(frame, seed=0)
+        clusterings = _reduce(frame)
         kept = extract_dependencies(frame, call_graph, clusterings,
                                     filter_bidirectional=True)
         unfiltered = extract_dependencies(frame, call_graph, clusterings,

@@ -1,16 +1,22 @@
-"""Tests for incremental re-analysis (paper §9 future work)."""
+"""Tests for incremental re-analysis (paper §9 future work).
+
+A deployed update that adds a metric to one component of a three-tier
+app must re-cluster only that component, re-test only the call-graph
+edges touching it and carry every other clustering and relation over
+from the previous window of the :class:`WindowAnalyzer`.
+"""
 
 import pytest
 
-from repro.core import Sieve, analyze_incremental
-from repro.core.incremental import changed_components
+from repro.core import Sieve, StreamingConfig
+from repro.core.incremental import changed_metric_components
 from repro.simulator import (
     Application,
     CallSpec,
     ComponentSpec,
     EndpointSpec,
 )
-from repro.simulator.component import Component
+from repro.streaming import WindowAnalyzer
 from repro.workload import constant_rate
 
 
@@ -37,70 +43,102 @@ def _app(update_backend=False):
     ])
 
 
+def _load(update_backend=False, seed=4):
+    return Sieve(_app(update_backend)).load(
+        constant_rate(40.0), duration=60.0, seed=seed)
+
+
+def _two_windows(baseline, rerun):
+    """Analyze ``baseline`` then ``rerun`` as consecutive windows."""
+    analyzer = WindowAnalyzer(StreamingConfig(), seed=3)
+    first = analyzer.analyze(baseline.frame, baseline.call_graph,
+                             0.0, 60.0, index=0)
+    second = analyzer.analyze(rerun.frame, rerun.call_graph,
+                              60.0, 120.0, index=1)
+    return first, second
+
+
 @pytest.fixture(scope="module")
 def baseline():
-    sieve = Sieve(_app())
-    result = sieve.run(constant_rate(40.0), duration=60.0, seed=3)
-    return sieve, result
+    return _load(seed=3)
 
 
-class TestChangedComponents:
-    def test_no_change_detected_for_same_version(self, baseline):
-        sieve, result = baseline
-        rerun = sieve.load(constant_rate(40.0), duration=60.0, seed=4)
-        assert changed_components(result, rerun) == []
-
-    def test_update_detected(self, baseline):
-        _sieve, result = baseline
-        updated = Sieve(_app(update_backend=True))
-        rerun = updated.load(constant_rate(40.0), duration=60.0, seed=4)
-        assert changed_components(result, rerun) == ["back"]
+@pytest.fixture(scope="module")
+def same_version():
+    return _load()
 
 
-class TestAnalyzeIncremental:
-    def test_reuses_untouched_components(self, baseline):
-        _sieve, result = baseline
-        updated = Sieve(_app(update_backend=True))
-        rerun = updated.load(constant_rate(40.0), duration=60.0, seed=4)
-        merged, stats = analyze_incremental(result, rerun, seed=3)
-        assert stats.reclustered == ["back"]
-        assert stats.reused == ["front", "mid"]
+@pytest.fixture(scope="module")
+def new_version():
+    return _load(update_backend=True)
+
+
+@pytest.fixture(scope="module")
+def updated(baseline, new_version):
+    """The previous window, then one of the updated backend."""
+    return _two_windows(baseline, new_version)
+
+
+@pytest.fixture(scope="module")
+def unchanged(baseline, same_version):
+    """The previous window, then one of the same version."""
+    return _two_windows(baseline, same_version)
+
+
+class TestChangedMetricComponents:
+    def test_no_change_detected_for_same_version(self, unchanged,
+                                                 same_version):
+        first, _second = unchanged
+        assert changed_metric_components(first.clusterings,
+                                         same_version.frame) == []
+
+    def test_update_detected(self, updated, new_version):
+        first, _second = updated
+        assert changed_metric_components(first.clusterings,
+                                         new_version.frame) == ["back"]
+
+
+class TestIncrementalWindow:
+    def test_metric_set_change_reclusters_only_that_component(
+            self, updated):
+        _first, second = updated
+        assert second.recluster_reasons == {"back": "metric-set"}
+        assert second.reclustered == ["back"]
+        assert second.reused == ["front", "mid"]
+
+    def test_reuses_untouched_components(self, updated):
+        first, second = updated
         # Reused clusterings are the same objects (no recomputation).
-        assert merged.clusterings["front"] is result.clusterings["front"]
-        assert merged.clusterings["back"] \
-            is not result.clusterings["back"]
+        assert second.clusterings["front"] is first.clusterings["front"]
+        assert second.clusterings["mid"] is first.clusterings["mid"]
+        assert second.clusterings["back"] \
+            is not first.clusterings["back"]
 
-    def test_merged_graph_covers_all_components(self, baseline):
-        _sieve, result = baseline
-        updated = Sieve(_app(update_backend=True))
-        rerun = updated.load(constant_rate(40.0), duration=60.0, seed=4)
-        merged, stats = analyze_incremental(result, rerun, seed=3)
-        assert set(merged.clusterings) == {"front", "mid", "back"}
+    def test_merged_graph_covers_all_components(self, updated):
+        first, second = updated
+        assert set(second.clusterings) == {"front", "mid", "back"}
         # front->mid relations (untouched pair) come from the old graph.
-        old_front_mid = result.dependency_graph.relations_between(
+        old_front_mid = first.dependency_graph.relations_between(
             "front", "mid")
-        new_front_mid = merged.dependency_graph.relations_between(
+        new_front_mid = second.dependency_graph.relations_between(
             "front", "mid")
         assert [r.source_metric for r in new_front_mid] \
             == [r.source_metric for r in old_front_mid]
-        assert stats.edges_reused == len(old_front_mid) + len(
-            result.dependency_graph.relations_between("mid", "front")
+        assert second.edges_reused == len(old_front_mid) + len(
+            first.dependency_graph.relations_between("mid", "front")
         )
 
-    def test_no_change_means_full_reuse(self, baseline):
-        sieve, result = baseline
-        rerun = sieve.load(constant_rate(40.0), duration=60.0, seed=4)
-        merged, stats = analyze_incremental(result, rerun, seed=3)
-        assert stats.reclustered == []
-        assert stats.edges_retested == 0
-        assert len(merged.dependency_graph) == len(result.dependency_graph)
+    def test_no_change_means_full_reuse(self, unchanged):
+        first, second = unchanged
+        assert second.reclustered == []
+        assert second.edges_retested == 0
+        assert len(second.dependency_graph) == len(first.dependency_graph)
 
-    def test_result_usable_downstream(self, baseline):
-        """The merged result supports the same queries as a full one."""
-        _sieve, result = baseline
-        updated = Sieve(_app(update_backend=True))
-        rerun = updated.load(constant_rate(40.0), duration=60.0, seed=4)
-        merged, _stats = analyze_incremental(result, rerun, seed=3)
-        assert merged.total_representatives() > 0
-        assert merged.reduction_factor() > 1.0
-        merged.summary()
+    def test_result_usable_downstream(self, updated):
+        """The updated window supports the same queries as a full one."""
+        _first, second = updated
+        result = second.to_sieve_result()
+        assert result.total_representatives() > 0
+        assert result.reduction_factor() > 1.0
+        result.summary()
+

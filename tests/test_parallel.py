@@ -10,8 +10,8 @@ import signal
 import numpy as np
 import pytest
 
+from repro.api.registry import EXECUTORS
 from repro.causality.depgraph import edge_jaccard
-from repro.clustering.reduction import reduce_frame
 from repro.core import StreamingConfig
 from repro.metrics.timeseries import MetricFrame, MetricKey, TimeSeries
 from repro.parallel import (
@@ -19,7 +19,6 @@ from repro.parallel import (
     ProcessShardExecutor,
     ShardExecutor,
     default_workers,
-    make_executor,
 )
 from repro.persistence import (
     CheckpointPolicy,
@@ -129,24 +128,24 @@ def _assert_same_analysis(left, right):
 # Executor strategies
 
 
-class TestMakeExecutor:
+class TestExecutorRegistry:
     def test_kinds_and_defaults(self):
-        serial = make_executor("serial")
+        serial = EXECUTORS.create("serial")
         assert serial.kind == "serial" and serial.workers == 1
-        process = make_executor("process", 2)
+        process = EXECUTORS.create("process", 2)
         assert process.kind == "process" and process.workers == 2
         process.close()
         assert default_workers() >= 1
 
     def test_registered_kinds_and_factory(self):
         assert EXECUTOR_KINDS == ("serial", "process")
-        executor = make_executor("process", 2)
+        executor = EXECUTORS.create("process", 2)
         assert type(executor) is ProcessShardExecutor
         executor.close()
 
     @pytest.mark.parametrize("kind", EXECUTOR_KINDS)
     def test_describe_reports_strategy(self, kind):
-        with make_executor(kind, 2) as executor:
+        with EXECUTORS.create(kind, 2) as executor:
             executor.map(_double, [1, 2, 3])
             assert executor.describe() == {
                 "executor": kind,
@@ -157,15 +156,15 @@ class TestMakeExecutor:
     def test_pool_size_one_falls_back_to_serial(self):
         # One worker cannot overlap anything; a pool would only add
         # dispatch overhead, so the factory degrades gracefully.
-        executor = make_executor("process", 1)
+        executor = EXECUTORS.create("process", 1)
         assert type(executor) is ShardExecutor
         assert executor.kind == "serial"
 
     def test_rejects_unknown_kind_and_bad_workers(self):
         with pytest.raises(ValueError, match="unknown executor"):
-            make_executor("gpu")
+            EXECUTORS.create("gpu")
         with pytest.raises(ValueError, match="workers"):
-            make_executor("process", -2)
+            EXECUTORS.create("process", -2)
 
     @pytest.mark.parametrize("kind", ["thread", "shm"])
     def test_config_rejects_removed_executors(self, kind):
@@ -177,23 +176,23 @@ class TestMakeExecutor:
         payloads = list(range(17))
         expected = [_double(p) for p in payloads]
         for kind in ("serial", "process"):
-            with make_executor(kind, 2) as executor:
+            with EXECUTORS.create(kind, 2) as executor:
                 assert executor.map(_double, payloads) == expected
                 assert executor.tasks_dispatched == len(payloads)
 
     def test_single_payload_runs_inline(self):
-        with make_executor("process", 2) as executor:
+        with EXECUTORS.create("process", 2) as executor:
             assert executor.map(_double, [21]) == [42]
             assert executor._pool is None  # never spun up
 
     def test_close_is_idempotent(self):
-        executor = make_executor("process", 2)
+        executor = EXECUTORS.create("process", 2)
         executor.map(_double, [1, 2, 3])
         executor.close()
         executor.close()
 
     def test_map_after_close_starts_a_fresh_pool(self):
-        executor = make_executor("process", 2)
+        executor = EXECUTORS.create("process", 2)
         executor.map(_double, [1, 2])
         executor.close()
         assert executor._pool is None
@@ -202,7 +201,7 @@ class TestMakeExecutor:
         executor.close()
 
     def test_broken_pool_recovers_on_next_map(self):
-        executor = make_executor("process", 2)
+        executor = EXECUTORS.create("process", 2)
         with pytest.raises(Exception, match="process pool"):
             executor.map(_die, [0, 1])
         # A later map after the crash builds a fresh pool and works.
@@ -232,7 +231,7 @@ class TestExecutorDeterminism:
 
     def test_process_matches_serial(self, frames):
         serial = self._analyze_two_windows(ShardExecutor(), frames)
-        with make_executor("process", 2) as executor:
+        with EXECUTORS.create("process", 2) as executor:
             parallel = self._analyze_two_windows(executor, frames)
         for left, right in zip(parallel, serial):
             _assert_same_analysis(left, right)
@@ -264,14 +263,6 @@ class TestExecutorDeterminism:
                 == (right.index, right.start, right.end)
             _assert_same_analysis(left, right)
 
-    def test_reduce_frame_executor_matches_inline(self, frames):
-        first, _second = frames
-        inline = reduce_frame(first, seed=9)
-        with make_executor("process", 2) as executor:
-            pooled = reduce_frame(first, seed=9, executor=executor)
-        assert _clustering_fingerprint(inline) \
-            == _clustering_fingerprint(pooled)
-
     def test_engine_builds_executor_from_config(self):
         config = StreamingConfig(executor="process", executor_workers=1)
         engine = StreamingSieve(config=config, seed=1)
@@ -287,7 +278,7 @@ class TestExecutorDeterminism:
 
     def test_analysis_after_a_worker_crash_matches_serial(self, frames):
         serial = self._analyze_two_windows(ShardExecutor(), frames)
-        with make_executor("process", 2) as executor:
+        with EXECUTORS.create("process", 2) as executor:
             with pytest.raises(Exception, match="process pool"):
                 executor.map(_die, [0, 1])
             recovered = self._analyze_two_windows(executor, frames)

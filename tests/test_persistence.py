@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import registry
 from repro.autoscaling.sla import SLACondition
 from repro.causality.depgraph import edge_jaccard
 from repro.core import Sieve, StreamingConfig
@@ -32,7 +33,6 @@ from repro.persistence import (
     journal_record_count,
     journal_segments,
     load_checkpoint,
-    open_backend,
     replay_journal,
     restore_engine,
     save_checkpoint,
@@ -256,14 +256,14 @@ class TestDurability:
                            match="segment format 'parquet'"):
             SpillBackend(spill_dir)
 
-    def test_open_backend_dispatch(self, tmp_path):
-        assert isinstance(open_backend("memory", None), MemoryBackend)
-        assert isinstance(open_backend("sqlite", tmp_path / "x.db"),
+    def test_backend_registry_dispatch(self, tmp_path):
+        create = registry.BACKENDS.create
+        assert isinstance(create("memory", None), MemoryBackend)
+        assert isinstance(create("sqlite", tmp_path / "x.db"),
                           SqliteBackend)
-        assert isinstance(open_backend("spill", tmp_path / "d"),
-                          SpillBackend)
+        assert isinstance(create("spill", tmp_path / "d"), SpillBackend)
         with pytest.raises(ValueError):
-            open_backend("redis", None)
+            create("redis", None)
 
 
 # ---------------------------------------------------------------------------

@@ -669,7 +669,7 @@ class TestDriftEscalation:
         assert drift_windows, "injected shift never escalated"
         trigger = drift_windows[0]
         # Only the shifted backend is re-clustered; the untouched
-        # components keep their clusterings (IncrementalStats-style).
+        # components keep their clusterings (reused by identity).
         assert trigger.recluster_reasons == {"back": "drift"}
         assert trigger.reclustered == ["back"]
         assert set(trigger.reused) == {"front", "mid"}
