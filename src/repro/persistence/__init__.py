@@ -23,6 +23,13 @@ Crash safety for streaming runs composes two pieces:
 * :mod:`~repro.persistence.checkpoint` -- per-epoch snapshots of the
   analysis state (clusterings, dependency graph, drift baselines, hop
   schedule) so a restored engine continues incrementally.
+  ``save_checkpoint`` writes one JSON document and returns nothing;
+  ``checkpoint_state`` is that document as a dict.  The per-window
+  ``CheckpointPolicy`` re-encodes only the clusterings and drift
+  baselines a window replaced.
+
+Neither piece fsyncs: what was journaled or checkpointed survives a
+SIGKILL of the process, not a power loss.
 """
 
 from repro.persistence.backend import (

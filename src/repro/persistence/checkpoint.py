@@ -9,6 +9,15 @@ deliberately *not* part of it: they are replayed from the write-ahead
 ingest journal (:mod:`repro.persistence.journal`), whose deterministic
 re-ingestion rebuilds the window-store rings bit-identically.
 
+The document is rewritten whole each epoch, but its encoding costs
+what the window replaced.  The bulk of it is clusterings and drift
+baselines, which are never mutated once built: a reused component
+keeps the very same objects.  :class:`CheckpointPolicy` keeps each
+one's JSON text by object identity from one save to the next and
+re-encodes only new objects; the clocks, counters and dependency
+graph are encoded afresh.  The assembled text is byte-identical to
+``json.dumps(checkpoint_state(engine), sort_keys=True)``.
+
 ``restore_engine`` composes the two: fresh engine, journal replay,
 checkpoint applied on top.  A restarted engine then continues
 incrementally -- same reuse decisions, same drift scores, same Granger
@@ -52,46 +61,11 @@ _CONFIG_FINGERPRINT = ("window", "hop", "retention",
                        "hop_min", "hop_max")
 
 
-def checkpoint_state(engine: StreamingSieve,
-                     spec: dict | None = None) -> dict:
-    """The engine's analysis state as a JSON-compatible dict.
-
-    ``spec`` (a resolved :meth:`repro.api.spec.RunSpec.to_dict`
-    payload) is embedded verbatim when given, so a later ``--resume``
-    can revalidate that it continues the *same declared run* -- not
-    just the same window geometry."""
-    previous = engine.analyzer.previous
-    prev_payload = None
-    if previous is not None:
-        prev_payload = {
-            "index": previous.index,
-            "start": previous.start,
-            "end": previous.end,
-            "reclustered": list(previous.reclustered),
-            "reused": list(previous.reused),
-            "reasons": dict(previous.recluster_reasons),
-            "edges_retested": previous.edges_retested,
-            "edges_reused": previous.edges_reused,
-            "clusterings": {
-                component: clustering_to_dict(clustering)
-                for component, clustering in previous.clusterings.items()
-            },
-            "graph": graph_to_dict(previous.dependency_graph),
-        }
-    drift_payload = {}
-    for component, clustering, metrics, coherence \
-            in engine.drift.baseline_items():
-        drift_payload[component] = {
-            "clustering": clustering_to_dict(clustering),
-            "metrics": {
-                name: dataclasses.asdict(baseline)
-                for name, baseline in metrics.items()
-            },
-            "coherence": {str(index): value
-                          for index, value in coherence.items()},
-        }
+def _head(engine: StreamingSieve, spec: dict | None) -> dict:
+    """The engine's clocks, counters and identity: every top-level
+    field of the checkpoint but ``previous`` and ``drift``."""
     config = engine.config
-    state = {
+    head = {
         "version": CHECKPOINT_VERSION,
         "seed": engine.seed,
         "application": engine.application,
@@ -104,33 +78,175 @@ def checkpoint_state(engine: StreamingSieve,
         "skipped_windows": engine.skipped_windows,
         "windows_since_refresh": engine.analyzer.windows_since_refresh,
         "stats": dataclasses.asdict(engine.stats),
-        "previous": prev_payload,
-        "drift": drift_payload,
     }
     if spec is not None:
-        state["spec"] = spec
+        head["spec"] = spec
+    return head
+
+
+def _previous_head(previous: WindowAnalysis) -> dict:
+    """The previous window's fields but its clusterings.  The graph
+    is among them: ``merge_dependency_graphs`` builds a new one every
+    window."""
+    return {
+        "index": previous.index,
+        "start": previous.start,
+        "end": previous.end,
+        "reclustered": list(previous.reclustered),
+        "reused": list(previous.reused),
+        "reasons": dict(previous.recluster_reasons),
+        "edges_retested": previous.edges_retested,
+        "edges_reused": previous.edges_reused,
+        "graph": graph_to_dict(previous.dependency_graph),
+    }
+
+
+def _baseline_to_dict(baseline) -> dict:
+    """A drift baseline's frozen statistics.  The drift entry's third
+    field, ``clustering``, is encoded on its own by
+    :func:`~repro.core.serialize.clustering_to_dict`."""
+    return {
+        "metrics": {name: dataclasses.asdict(metric)
+                    for name, metric in baseline.metrics.items()},
+        "coherence": {str(index): value
+                      for index, value in baseline.coherence.items()},
+    }
+
+
+def checkpoint_state(engine: StreamingSieve,
+                     spec: dict | None = None) -> dict:
+    """The engine's analysis state as a JSON-compatible dict.
+
+    ``spec`` (a resolved :meth:`repro.api.spec.RunSpec.to_dict`
+    payload) is embedded verbatim when given, so a later ``--resume``
+    can revalidate that it continues the *same declared run* -- not
+    just the same window geometry.  A checkpoint file holds exactly
+    ``json.dumps(checkpoint_state(engine, spec), sort_keys=True)``."""
+    previous = engine.analyzer.previous
+    prev_payload = None
+    if previous is not None:
+        prev_payload = _previous_head(previous)
+        prev_payload["clusterings"] = {
+            component: clustering_to_dict(clustering)
+            for component, clustering in previous.clusterings.items()
+        }
+    state = _head(engine, spec)
+    state["previous"] = prev_payload
+    state["drift"] = {
+        component: {"clustering": clustering_to_dict(baseline.clustering),
+                    **_baseline_to_dict(baseline)}
+        for component, baseline in engine.drift.baseline_items()
+    }
     return state
 
 
-def save_checkpoint(engine: StreamingSieve, path,
-                    spec: dict | None = None) -> dict:
-    """Atomically write the engine's checkpoint to ``path``.
+#: ``id(obj) -> (obj, its JSON text)``.  An entry holds its object, so
+#: the id cannot be reused while the entry lives; lookups still check
+#: ``is`` and treat any other object under that id as a miss.
+_Fragments = dict[int, tuple[object, str]]
 
-    Returns the state dict that was written.  The write goes through a
-    temp file + rename, so a crash mid-checkpoint leaves the previous
-    checkpoint intact.  ``spec`` is embedded as on
-    :func:`checkpoint_state`.
-    """
-    state = checkpoint_state(engine, spec=spec)
+
+def _dumps(value) -> str:
+    # json.dumps, not json.dump: dump always takes the pure-Python
+    # encoder, dumps the C one -- same bytes, about half the time.
+    return json.dumps(value, sort_keys=True)
+
+
+def _members(items) -> str:
+    """``json.dumps(dict(items), sort_keys=True)`` from ``(key, JSON
+    text of the value)`` pairs: the same bytes, however each value's
+    text was made."""
+    return "{" + ", ".join(f"{json.dumps(key)}: {text}"
+                           for key, text in sorted(items)) + "}"
+
+
+class _Encoder:
+    """One save's encoder, reusing the previous save's fragments.
+
+    ``used`` collects every fragment this save looked up -- the cache
+    the next save starts from."""
+
+    def __init__(self, cache: _Fragments):
+        self.cache = cache
+        self.used: _Fragments = {}
+
+    def _fragment(self, obj, encode) -> str:
+        key = id(obj)
+        hit = self.used.get(key) or self.cache.get(key)
+        if hit is None or hit[0] is not obj:
+            hit = (obj, encode(obj))
+        self.used[key] = hit
+        return hit[1]
+
+    def clustering(self, clustering) -> str:
+        return self._fragment(
+            clustering, lambda c: _dumps(clustering_to_dict(c)))
+
+    def baseline(self, baseline) -> str:
+        """A drift entry; its clustering shares the text of the same
+        object under ``previous`` (one encoding, not two)."""
+        return self._fragment(baseline, lambda b: _members([
+            ("clustering", self.clustering(b.clustering)),
+            *((key, _dumps(value))
+              for key, value in _baseline_to_dict(b).items()),
+        ]))
+
+
+def _encode_state(engine: StreamingSieve, spec: dict | None,
+                  cache: _Fragments) -> tuple[str, _Fragments]:
+    """The checkpoint document and the fragments it used.
+
+    Byte-identical to ``_dumps(checkpoint_state(engine, spec))``:
+    clusterings and drift baselines are never mutated once built (the
+    analyzer replaces what it re-clusters, the drift detector replaces
+    what it rebases), so an object's cached text stays its encoding.
+    The small per-window parts are encoded afresh."""
+    encoder = _Encoder(cache)
+    previous = engine.analyzer.previous
+    prev_text = "null"
+    if previous is not None:
+        prev_text = _members([
+            *((key, _dumps(value))
+              for key, value in _previous_head(previous).items()),
+            ("clusterings", _members([
+                (component, encoder.clustering(clustering))
+                for component, clustering in previous.clusterings.items()
+            ])),
+        ])
+    drift_text = _members([
+        (component, encoder.baseline(baseline))
+        for component, baseline in engine.drift.baseline_items()
+    ])
+    text = _members([
+        *((key, _dumps(value))
+          for key, value in _head(engine, spec).items()),
+        ("previous", prev_text),
+        ("drift", drift_text),
+    ])
+    return text, encoder.used
+
+
+def _write_atomically(path, text: str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w", encoding="utf-8") as handle:
-        # json.dumps, not json.dump: dump always takes the pure-Python
-        # encoder, dumps the C one -- same bytes, about half the time.
-        handle.write(json.dumps(state, sort_keys=True))
+        handle.write(text)
     os.replace(tmp, path)
-    return state
+
+
+def save_checkpoint(engine: StreamingSieve, path,
+                    spec: dict | None = None) -> None:
+    """Atomically write the engine's checkpoint to ``path``.
+
+    The file holds ``json.dumps(checkpoint_state(engine, spec),
+    sort_keys=True)``.  The write goes through a temp file + rename,
+    so a crash mid-checkpoint leaves the previous checkpoint intact.
+    The rename is not fsynced: like the ingest journal, a checkpoint
+    that landed survives a SIGKILL of the process, not a power loss.
+    ``spec`` is embedded as on :func:`checkpoint_state`.
+    """
+    _write_atomically(path, _encode_state(engine, spec, {})[0])
 
 
 def load_checkpoint(path) -> dict:
@@ -345,6 +461,10 @@ class CheckpointPolicy:
         self.checkpoints_written = 0
         self._windows_seen = 0
         self._last_checkpoint_window = 0
+        self._fragments: _Fragments = {}
+        """The last save's encoded clusterings and drift baselines, so
+        the next save re-encodes only what its windows replaced."""
+
         self.on_checkpoint = None
         """Optional ``callback(analysis, policy)`` fired after each
         checkpoint lands (the operations event log hooks in here)."""
@@ -369,7 +489,9 @@ class CheckpointPolicy:
         with tracer.span("writer_flush"):
             self.engine.windows.flush_backend()
         with tracer.span("checkpoint") as span:
-            save_checkpoint(self.engine, self.path, spec=self.spec)
+            text, self._fragments = _encode_state(
+                self.engine, self.spec, self._fragments)
+            _write_atomically(self.path, text)
             self.checkpoints_written += 1
             self._last_checkpoint_window = self._windows_seen
             journal = self.engine.bus.journal

@@ -64,6 +64,15 @@ One deliberate asymmetry: a batch whose *delivery* failed (a
 subscriber raised mid-flush) is not delivered again but stays in the
 journal -- restoring from the journal resurrects it, which is
 recovery of otherwise-lost data, not corruption.
+
+**Durability.**  Nothing is fsynced.  A frame is handed to the OS in
+the unbuffered write that appends it, before the bus delivers its
+batch, so a journaled point survives a SIGKILL of the process but not
+a power loss or a kernel crash.  That is the ack contract: with the
+service's default ``clock="ingest"`` an ingest request that carries
+points flushes the bus before it is acknowledged, so acked means
+journaled to the OS.  Checkpoints (:mod:`repro.persistence.checkpoint`)
+match it: their temp-file rename is not fsynced either.
 """
 
 from __future__ import annotations
@@ -131,18 +140,14 @@ def journal_segments(path) -> list[Path]:
 class IngestJournal:
     """Append-only batch log: rotated segments plus one active file."""
 
-    def __init__(self, path, fsync: bool = False,
-                 truncate: bool = False):
-        """``fsync=True`` syncs on every :meth:`commit` -- durable
-        against power loss, at the cost of one fsync per bus flush.
-        ``truncate=True`` starts the journal fresh (a new run that is
+    def __init__(self, path, truncate: bool = False):
+        """``truncate=True`` starts the journal fresh (a new run that is
         not resuming), deleting rotated segments of earlier runs; the
         default appends, after repairing any torn tail a crash left
         behind (and refuses a file that is not a journal of this
         format, leaving it untouched)."""
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.fsync = fsync
         self._segment_newest: dict[Path, float] = {}
         segments = journal_segments(self.path)
         if truncate:
@@ -238,11 +243,9 @@ class IngestJournal:
         self.append_batches(((component, metric, times, values),))
 
     def commit(self) -> None:
-        """Make appended frames durable against power loss (with
-        ``fsync``); every frame already reached the OS when it was
-        appended."""
-        if self.fsync:
-            os.fsync(self._fh.fileno())
+        """The bus's end-of-flush durability point.  There is nothing
+        left to do: every frame reached the OS when it was appended,
+        which is all the journal promises (see "Durability" above)."""
 
     # -- rotation ------------------------------------------------------
 

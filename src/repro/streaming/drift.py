@@ -234,15 +234,17 @@ class DriftDetector:
     # -- checkpoint support --------------------------------------------
 
     def baseline_items(self):
-        """Frozen state per component, for checkpointing.
+        """Frozen baseline per component, for checkpointing.
 
-        Yields ``(component, clustering, metric_baselines, coherence)``
-        tuples; :mod:`repro.persistence.checkpoint` turns them into
-        JSON and :meth:`set_baseline` restores them exactly.
+        Yields ``(component, baseline)`` pairs in component order;
+        :mod:`repro.persistence.checkpoint` turns them into JSON and
+        :meth:`set_baseline` restores them exactly.  A baseline is
+        never mutated once installed -- :meth:`rebase` and
+        :meth:`set_baseline` replace it whole -- so the checkpoint
+        may cache its encoding by object identity.
         """
-        for component, baseline in sorted(self._baselines.items()):
-            yield (component, baseline.clustering,
-                   dict(baseline.metrics), dict(baseline.coherence))
+        for component in sorted(self._baselines):
+            yield component, self._baselines[component]
 
     def set_baseline(self, component: str,
                      clustering: ComponentClustering,

@@ -420,7 +420,7 @@ class TestBackendCrashSafety:
             if i == 69:
                 backend.dead = True
         bus.flush()
-        journal.commit()
+        journal.close()
         journaled = sum(len(t) for _c, _m, t, _v
                         in replay_journal(tmp_path / "ingest.journal"))
         assert journaled == 150
@@ -471,7 +471,7 @@ class TestBackendCrashSafety:
                                   every=1)
         engine.subscribe(policy)
         early = doomed.run(50.0)
-        journal.commit()
+        journal.close()
         _hard_kill(store)
         assert journal.rotations >= 1  # epochs sealed the journal
         del doomed
@@ -622,6 +622,7 @@ class TestJournalRotation:
         remaining = journal_segments(tmp_path / "ingest.journal")
         assert len(remaining) < journal.rotations
         driver.close()
+        journal.close()
 
     def test_checkpoint_retire_respects_stale_series(self, tmp_path):
         """A quiet series' ring keeps old samples (eviction is
@@ -652,6 +653,7 @@ class TestJournalRotation:
                     in replay_journal(tmp_path / "ingest.journal")}
         assert replayed[("quiet", "gauge")] == [20.0, 25.0]
         engine.close()
+        journal.close()
 
     def test_rotation_can_be_disabled(self, tmp_path):
         config = StreamingConfig(window=20.0, hop=10.0,
@@ -671,3 +673,4 @@ class TestJournalRotation:
         assert journal.rotations == 0
         assert journal_segments(tmp_path / "ingest.journal") == []
         driver.close()
+        journal.close()

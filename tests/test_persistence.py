@@ -606,6 +606,7 @@ class TestIngestJournal:
             bus.flush()
         # The write-ahead contract: the batch hit the journal first.
         assert journal_record_count(path) == 1
+        bus.journal.close()
 
 
 _floats = st.floats(allow_nan=True, allow_infinity=True,
@@ -907,7 +908,7 @@ class TestCheckpointRestore:
         driver = _streaming_driver(config=config, engine=engine)
         driver.run(60.0)
         save_checkpoint(driver.engine, tmp / "state.ckpt")
-        journal.commit()
+        journal.close()
         return tmp, config, driver
 
     def test_checkpoint_file_is_json(self, checkpointed):
@@ -947,10 +948,10 @@ class TestCheckpointRestore:
                             prev_o.dependency_graph,
                             level="metric") == 1.0
         # Drift baselines restored exactly.
-        frozen_r = {c: (m, coh) for c, _cl, m, coh
-                    in restored.drift.baseline_items()}
-        frozen_o = {c: (m, coh) for c, _cl, m, coh
-                    in original.drift.baseline_items()}
+        frozen_r = {c: (b.metrics, b.coherence)
+                    for c, b in restored.drift.baseline_items()}
+        frozen_o = {c: (b.metrics, b.coherence)
+                    for c, b in original.drift.baseline_items()}
         assert frozen_r == frozen_o
 
     def test_restore_rejects_config_mismatch(self, checkpointed):
@@ -1025,8 +1026,10 @@ class TestCrashRestartDeterminism:
         policy = CheckpointPolicy(engine, tmp / "state.ckpt", every=1)
         engine.subscribe(policy)
         early_windows = doomed.run(50.0)
-        journal.commit()
-        del doomed  # the "crash"
+        # The "crash": everything appended already reached the OS, so
+        # closing the file changes nothing a restore reads.
+        journal.close()
+        del doomed
 
         # The resurrected run: restore state, fast-forward the seeded
         # simulation to the dead engine's last tick, keep streaming.
@@ -1086,7 +1089,7 @@ class TestCrashRestartDeterminism:
         # Crash 3.7s into the next hop, after mid-hop auto-flushes
         # journaled samples newer than the last engine tick.
         doomed.session.advance(3.7)
-        journal.commit()
+        journal.close()
         del doomed
 
         restored = restore_engine(tmp_path / "state.ckpt", config,
@@ -1128,7 +1131,7 @@ class TestCrashRestartDeterminism:
                                           every=1))
         doomed.run(40.0)
         doomed.session.advance(1.3)  # partial scrape cycles, no offer
-        journal.commit()
+        journal.close()
         del doomed
 
         resumed_journal = IngestJournal(tmp_path / "ingest.journal")
@@ -1138,7 +1141,7 @@ class TestCrashRestartDeterminism:
                                   journal=resumed_journal)
         resumed = _streaming_driver(config=config, engine=restored)
         late = resumed.resume_run(20.0)
-        resumed_journal.commit()
+        resumed_journal.close()
         assert restored.bus.stats.resume_clipped > 0
         # The crash-advance streamed ~1.3s the reference never saw, so
         # the resumed run may append one extra trailing window; the
@@ -1480,8 +1483,11 @@ class TestResumeAcrossRollupBoundary:
         engine.subscribe(policy)
         early_windows = doomed.run(50.0)
         mid_stats = store.compact()
-        journal.commit()
-        del doomed  # the crash: unspilled hot rows are lost
+        # The crash: unspilled hot rows are lost.  The journal's frames
+        # already reached the OS; the doomed store is dropped, never
+        # closed, since closing would spill the rows the crash loses.
+        journal.close()
+        del doomed
 
         # Resume against the reopened (already partially rolled-up)
         # store; the journal heals the lost tail.
@@ -1493,8 +1499,10 @@ class TestResumeAcrossRollupBoundary:
         resumed = _streaming_driver(config=config, engine=restored)
         late_windows = resumed.resume_run(40.0)
         healed.flush()
-        return (reference_store, reference_windows, early_windows,
-                late_windows, healed, mid_stats)
+        yield (reference_store, reference_windows, early_windows,
+               late_windows, healed, mid_stats)
+        healed.close()
+        reference_store.close()
 
     def test_compaction_crossed_a_rollup_boundary(self, runs):
         *_rest, mid_stats = runs
