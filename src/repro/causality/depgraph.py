@@ -13,8 +13,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import networkx as nx
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -143,6 +145,8 @@ class DependencyGraph:
 
     def to_networkx(self) -> nx.MultiDiGraph:
         """Metric relations as a component-level multigraph."""
+        import networkx as nx
+
         graph = nx.MultiDiGraph()
         graph.add_nodes_from(self._components)
         for r in self._relations:

@@ -14,8 +14,6 @@ pairwise Jaro distance matrix, cut at ``k`` clusters.
 from __future__ import annotations
 
 import numpy as np
-from scipy.cluster.hierarchy import fcluster, linkage
-from scipy.spatial.distance import squareform
 
 from repro.stats.strings import jaro
 
@@ -47,6 +45,9 @@ def name_based_labels(names: list[str], k: int) -> np.ndarray:
         raise ValueError(f"cannot form {k} groups from {n} names")
     if k == 1 or n == 1:
         return np.zeros(n, dtype=int)
+
+    from scipy.cluster.hierarchy import fcluster, linkage
+    from scipy.spatial.distance import squareform
 
     distances = name_distance_matrix(names)
     condensed = squareform(distances, checks=False)

@@ -376,9 +376,17 @@ def restore_engine(checkpoint, config: StreamingConfig,
     previous = _restore_previous(state)
     engine.analyzer.restore(previous,
                             int(state["windows_since_refresh"]))
+    saved = {} if previous is None else state["previous"]["clusterings"]
+    restored = {} if previous is None else previous.clusterings
     for component, payload in state["drift"].items():
-        clustering = clustering_from_dict(component,
-                                          payload["clustering"])
+        # The saved engine shared one clustering object between its
+        # previous analysis and the drift baseline (it is never
+        # mutated); restore one object where the checkpoint had one.
+        if payload["clustering"] == saved.get(component):
+            clustering = restored[component]
+        else:
+            clustering = clustering_from_dict(component,
+                                              payload["clustering"])
         metrics = {
             name: MetricBaseline(**baseline)
             for name, baseline in payload["metrics"].items()

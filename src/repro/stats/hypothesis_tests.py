@@ -14,6 +14,13 @@ response-surface critical values for the constant-only regression and an
 interpolated quantile table for approximate p-values.  That matches what
 ``statsmodels.tsa.stattools.adfuller`` does, at the fidelity Sieve needs
 (a stationary / non-stationary decision at the 5% level).
+
+P-values come straight from the ``scipy.special`` kernels that
+``scipy.stats`` itself evaluates (``fdtrc`` for ``f.sf``, ``ndtr`` /
+``ndtri`` for ``norm.cdf`` / ``norm.ppf``): the same numbers without the
+distribution-object overhead, and without importing ``scipy.stats``.
+SciPy is imported inside the functions, so importing this module (and
+everything that serves ingest) does not load it.
 """
 
 from __future__ import annotations
@@ -21,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from repro.stats.regression import add_constant, ols
 from repro.stats.timeseries_ops import lag_matrix
@@ -61,8 +67,9 @@ def f_test_nested(rss_restricted: float, rss_unrestricted: float,
     f_stat = (improvement / n_extra_params) / (
         rss_unrestricted / df_resid_unrestricted
     )
-    p_value = float(scipy_stats.f.sf(f_stat, n_extra_params,
-                                     df_resid_unrestricted))
+    from scipy.special import fdtrc
+
+    p_value = float(fdtrc(n_extra_params, df_resid_unrestricted, f_stat))
     return FTestResult(float(f_stat), p_value, n_extra_params,
                        df_resid_unrestricted)
 
@@ -110,9 +117,10 @@ def mackinnon_pvalue(tau: float) -> float:
         return float(_TAU_PROBS[0])
     if tau >= _TAU_QUANTILES[-1]:
         return float(_TAU_PROBS[-1])
-    probits = scipy_stats.norm.ppf(_TAU_PROBS)
-    interp = np.interp(tau, _TAU_QUANTILES, probits)
-    return float(scipy_stats.norm.cdf(interp))
+    from scipy.special import ndtr, ndtri
+
+    interp = np.interp(tau, _TAU_QUANTILES, ndtri(_TAU_PROBS))
+    return float(ndtr(interp))
 
 
 @dataclass(frozen=True)
@@ -179,11 +187,10 @@ def adf_test(values: np.ndarray, max_lags: int | None = None) -> ADFResult:
 
     tau = float(fit.tvalues[1])  # coefficient on y[t-1]
     if not np.isfinite(tau):
-        # Degenerate regression (e.g. perfectly collinear design): treat
-        # as stationary, the conservative choice for Sieve (no
-        # differencing applied).
+        # Degenerate regression (e.g. perfectly collinear design): the
+        # unit-root null is not rejected, so the series is reported
+        # non-stationary and Sieve differences it.
         tau, p_value = 0.0, 1.0
-        p_value = 1.0
     else:
         p_value = mackinnon_pvalue(tau)
     return ADFResult(

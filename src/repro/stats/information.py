@@ -15,7 +15,6 @@ hypergeometric model of random partitions with fixed marginals.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "adjusted_mutual_info",
@@ -72,6 +71,8 @@ def expected_mutual_info(table: np.ndarray) -> float:
     hypergeometric probability of observing that count.  Factorials are
     evaluated through ``gammaln`` for numerical stability.
     """
+    from scipy.special import gammaln
+
     table = np.asarray(table, dtype=np.int64)
     a = table.sum(axis=1)
     b = table.sum(axis=0)

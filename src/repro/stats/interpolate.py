@@ -12,7 +12,6 @@ alignment accuracy).
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 #: Sieve's metric discretization interval, in seconds (paper Section 3.2).
 DEFAULT_GRID_INTERVAL = 0.5
@@ -51,6 +50,8 @@ def spline_fill(
     clamped = np.clip(qs, ts[0], ts[-1])
     if ts.size < 4:
         return np.interp(clamped, ts, vs)
+    from scipy.interpolate import CubicSpline
+
     spline = CubicSpline(ts, vs)
     return spline(clamped)
 

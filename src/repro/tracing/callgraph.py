@@ -9,18 +9,26 @@ components that actually communicate (Section 3.3).
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 
 class CallGraph:
-    """Directed caller -> callee graph with connection counts."""
+    """Directed caller -> callee graph with connection counts.
+
+    Stored as ``caller -> {callee: count}``; the outer dict also lists
+    every known component, in the order it was first seen (a caller
+    before its callee), which is the node order of :meth:`to_networkx`.
+    """
 
     def __init__(self) -> None:
-        self._graph = nx.DiGraph()
+        self._succ: dict[str, dict[str, int]] = {}
 
     def add_component(self, name: str) -> None:
         """Register a component even before any call is seen."""
-        self._graph.add_node(name)
+        self._succ.setdefault(name, {})
 
     def record_call(self, caller: str, callee: str, count: int = 1) -> None:
         """Record ``count`` observed connections from caller to callee."""
@@ -28,52 +36,48 @@ class CallGraph:
             raise ValueError("count must be >= 1")
         if caller == callee:
             return  # loopback chatter carries no inter-component structure
-        if self._graph.has_edge(caller, callee):
-            self._graph[caller][callee]["count"] += count
-        else:
-            self._graph.add_edge(caller, callee, count=count)
+        callees = self._succ.setdefault(caller, {})
+        self._succ.setdefault(callee, {})
+        callees[callee] = callees.get(callee, 0) + count
 
     @property
     def components(self) -> list[str]:
         """All known components, sorted."""
-        return sorted(self._graph.nodes)
+        return sorted(self._succ)
 
     def callees(self, component: str) -> list[str]:
         """Components that ``component`` calls, sorted."""
-        if component not in self._graph:
-            return []
-        return sorted(self._graph.successors(component))
+        return sorted(self._succ.get(component, ()))
 
     def callers(self, component: str) -> list[str]:
         """Components that call ``component``, sorted."""
-        if component not in self._graph:
-            return []
-        return sorted(self._graph.predecessors(component))
+        return sorted(u for u, callees in self._succ.items()
+                      if component in callees)
 
     def edges(self) -> list[tuple[str, str, int]]:
         """All (caller, callee, count) edges, sorted."""
         return sorted(
-            (u, v, data["count"]) for u, v, data in self._graph.edges(data=True)
+            (u, v, count)
+            for u, callees in self._succ.items()
+            for v, count in callees.items()
         )
 
     def has_edge(self, caller: str, callee: str) -> bool:
         """True when at least one caller -> callee connection was seen."""
-        return self._graph.has_edge(caller, callee)
+        return callee in self._succ.get(caller, ())
 
     def call_count(self, caller: str, callee: str) -> int:
         """Observed connections from caller to callee (0 if none)."""
-        if not self._graph.has_edge(caller, callee):
-            return 0
-        return int(self._graph[caller][callee]["count"])
+        return int(self._succ.get(caller, {}).get(callee, 0))
 
     def filtered(self, min_count: int = 1) -> "CallGraph":
         """Copy without edges below ``min_count`` connections."""
         out = CallGraph()
-        for node in self._graph.nodes:
-            out.add_component(node)
-        for u, v, count in self.edges():
-            if count >= min_count:
-                out.record_call(u, v, count)
+        out._succ = {
+            u: {v: count for v, count in sorted(callees.items())
+                if count >= min_count}
+            for u, callees in self._succ.items()
+        }
         return out
 
     def communicating_pairs(self) -> list[tuple[str, str]]:
@@ -82,10 +86,17 @@ class CallGraph:
 
     def to_networkx(self) -> nx.DiGraph:
         """A copy as a networkx digraph (for analysis / drawing)."""
-        return self._graph.copy()
+        import networkx as nx
+
+        graph = nx.DiGraph()
+        graph.add_nodes_from(self._succ)
+        for u, callees in self._succ.items():
+            for v, count in callees.items():
+                graph.add_edge(u, v, count=count)
+        return graph
 
     def __len__(self) -> int:
-        return self._graph.number_of_nodes()
+        return len(self._succ)
 
     def __contains__(self, component: str) -> bool:
-        return component in self._graph
+        return component in self._succ

@@ -161,6 +161,13 @@ class TestEveryWindowKind:
             journal.close()  # the crash: the journal was written whole
             restored = restore_engine(tmp / "state.ckpt", CONFIG,
                                       journal_path=tmp / "ingest.journal")
+            # One object per checkpointed clustering: the drift
+            # baseline is the previous analysis's clustering itself.
+            previous = restored.analyzer.previous.clusterings
+            baselines = dict(restored.drift.baseline_items())
+            assert sorted(baselines) == sorted(previous)
+            assert all(baselines[c].clustering is previous[c]
+                       for c in previous)
             resumed = _policy(restored, tmp)
             _watch(resumed, calls, after)
             feed.run(restored, 120.0)
@@ -202,9 +209,9 @@ class TestEveryWindowKind:
         _before, after = run
         first, second = after[0], after[1]
         assert not first[0].reclustered
-        # The restore parses ``previous`` and ``drift`` into distinct
-        # objects: nothing is cached and nothing is shared yet.
-        assert first[1] == (2 * COMPONENTS, COMPONENTS)
+        # Nothing restored is cached yet, but each clustering is one
+        # object shared by ``previous`` and ``drift``: encoded once.
+        assert first[1] == (COMPONENTS, COMPONENTS)
         assert not second[0].reclustered
         assert second[1] == (0, 0)
 

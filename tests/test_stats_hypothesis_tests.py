@@ -5,6 +5,8 @@ import pytest
 from scipy import stats as scipy_stats
 
 from repro.stats.hypothesis_tests import (
+    _TAU_PROBS,
+    _TAU_QUANTILES,
     adf_test,
     f_test_nested,
     is_stationary,
@@ -24,13 +26,17 @@ class TestFTest:
         result = f_test_nested(100.0, 10.0, 1, 50)
         assert result.rejects_null(0.01)
 
-    def test_f_statistic_formula(self):
-        result = f_test_nested(20.0, 10.0, 2, 40)
-        expected = ((20.0 - 10.0) / 2) / (10.0 / 40)
-        assert result.f_statistic == pytest.approx(expected)
-        assert result.p_value == pytest.approx(
-            scipy_stats.f.sf(expected, 2, 40)
-        )
+    @pytest.mark.parametrize("q", [1, 2, 4])
+    @pytest.mark.parametrize("df", [1, 2, 3, 7, 40, 120, 241, 500])
+    def test_f_statistic_formula(self, q, df):
+        # The p-value is scipy.stats' own F survival function, exactly:
+        # F near 0 and across 1e-3 .. 1e3.
+        for f in [0.0, 1e-300, 1e-12, 1e-6, *np.logspace(-3, 3, 37)]:
+            rss_restricted = 10.0 + f * q * 10.0 / df
+            result = f_test_nested(rss_restricted, 10.0, q, df)
+            expected = ((rss_restricted - 10.0) / q) / (10.0 / df)
+            assert result.f_statistic == expected
+            assert result.p_value == float(scipy_stats.f.sf(expected, q, df))
 
     def test_perfect_unrestricted_fit(self):
         assert f_test_nested(5.0, 0.0, 1, 10).p_value == 0.0
@@ -68,6 +74,14 @@ class TestMacKinnon:
         # p-value at the asymptotic 5% critical value is about 0.05.
         assert mackinnon_pvalue(-2.86) == pytest.approx(0.05, abs=0.005)
         assert mackinnon_pvalue(-3.43) == pytest.approx(0.01, abs=0.003)
+
+    def test_pvalue_is_the_probit_interpolant_exactly(self):
+        inside = np.linspace(_TAU_QUANTILES[0], _TAU_QUANTILES[-1], 2001)
+        probits = scipy_stats.norm.ppf(_TAU_PROBS)
+        for tau in [*inside[1:-1], *_TAU_QUANTILES[1:-1]]:
+            expected = scipy_stats.norm.cdf(
+                np.interp(tau, _TAU_QUANTILES, probits))
+            assert mackinnon_pvalue(tau) == float(expected)
 
     def test_pvalue_saturates(self):
         assert mackinnon_pvalue(-50.0) == pytest.approx(0.0005)

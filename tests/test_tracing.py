@@ -1,6 +1,11 @@
 """Tests for call-graph capture and tracing overhead models."""
 
+import pickle
+
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.tracing import (
     TRACING_TECHNIQUES,
@@ -60,6 +65,87 @@ class TestCallGraph:
         graph.record_call("a", "b", 4)
         nx_graph = graph.to_networkx()
         assert nx_graph["a"]["b"]["count"] == 4
+
+
+class _NxCallGraph:
+    """The reference model: the call graph as an ``nx.DiGraph``."""
+
+    def __init__(self):
+        self.graph = nx.DiGraph()
+
+    def add_component(self, name):
+        self.graph.add_node(name)
+
+    def record_call(self, caller, callee, count):
+        if count < 1:
+            raise ValueError("count must be >= 1")
+        if caller == callee:
+            return
+        if self.graph.has_edge(caller, callee):
+            self.graph[caller][callee]["count"] += count
+        else:
+            self.graph.add_edge(caller, callee, count=count)
+
+    def filtered(self, min_count):
+        out = _NxCallGraph()
+        out.graph.add_nodes_from(self.graph.nodes)
+        for u, v, count in sorted(self.graph.edges(data="count")):
+            if count >= min_count:
+                out.record_call(u, v, count)
+        return out
+
+
+_NAMES = st.sampled_from(["a", "b", "c", "d", "e"])
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just("add"), _NAMES),
+    st.tuples(st.just("call"), _NAMES, _NAMES, st.integers(-1, 5)),
+), max_size=40)
+
+
+def _assert_matches(graph, model):
+    g = model.graph
+    names = ["a", "b", "c", "d", "e", "ghost"]
+    assert graph.components == sorted(g.nodes)
+    assert len(graph) == g.number_of_nodes()
+    assert graph.edges() == sorted(g.edges(data="count"))
+    for u in names:
+        assert (u in graph) == (u in g)
+        assert graph.callees(u) == (sorted(g.successors(u))
+                                    if u in g else [])
+        assert graph.callers(u) == (sorted(g.predecessors(u))
+                                    if u in g else [])
+        for v in names:
+            assert graph.has_edge(u, v) == g.has_edge(u, v)
+            assert graph.call_count(u, v) == (
+                g[u][v]["count"] if g.has_edge(u, v) else 0)
+    exported = graph.to_networkx()
+    assert list(exported.nodes) == list(g.nodes)
+    assert list(exported.edges(data="count")) == list(g.edges(data="count"))
+
+
+class TestCallGraphModel:
+    @given(_OPS, st.integers(0, 8))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_a_networkx_digraph(self, ops, min_count):
+        graph, model = CallGraph(), _NxCallGraph()
+        for op in ops:
+            if op[0] == "add":
+                graph.add_component(op[1])
+                model.add_component(op[1])
+                continue
+            _, caller, callee, count = op
+            if count < 1:
+                with pytest.raises(ValueError):
+                    graph.record_call(caller, callee, count)
+                with pytest.raises(ValueError):
+                    model.record_call(caller, callee, count)
+            else:
+                graph.record_call(caller, callee, count)
+                model.record_call(caller, callee, count)
+        _assert_matches(graph, model)
+        _assert_matches(graph.filtered(min_count),
+                        model.filtered(min_count))
+        _assert_matches(pickle.loads(pickle.dumps(graph)), model)
 
 
 class TestServiceDiscovery:
