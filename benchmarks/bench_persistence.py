@@ -11,11 +11,12 @@ Writes ``BENCH_persistence.json`` with the headline numbers.
 """
 
 import json
+import os
 import time
 
 import numpy as np
 
-from repro.persistence import MemoryBackend, SpillBackend, SqliteBackend
+from repro.persistence import MemoryBackend, SqliteBackend
 
 from conftest import print_table
 
@@ -44,7 +45,6 @@ def _make_backends(tmp_path):
     return {
         "memory": MemoryBackend(),
         "sqlite": SqliteBackend(tmp_path / "bench.db"),
-        "spill": SpillBackend(tmp_path / "spill", hot_points=2048),
     }
 
 
@@ -95,15 +95,7 @@ def test_backend_write_and_scan_throughput(tmp_path):
     with open(RESULTS_PATH, "w") as fh:
         json.dump({"name": "persistence_throughput",
                    "points": n_points, "series": N_SERIES,
+                   "cpus": os.cpu_count(),
                    **_results}, fh, indent=2)
     print(f"results written to {RESULTS_PATH}")
 
-
-def test_spill_backend_bounds_ram(tmp_path):
-    """The spill tier keeps the hot set bounded while scans stay exact."""
-    backend = SpillBackend(tmp_path / "spill", hot_points=512)
-    for component, metric, t, v in _batches():
-        backend.write(component, metric, t, v)
-    assert backend.hot_sample_count() <= N_SERIES * (512 + BATCH)
-    assert backend.spills > 0
-    assert backend.sample_count() == N_SERIES * POINTS_PER_SERIES

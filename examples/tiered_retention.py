@@ -4,10 +4,10 @@ A monitoring store that keeps everything at full resolution grows
 without bound; real TSDBs (Graphite, M3) age samples through
 progressively coarser rollup tiers instead.  This walkthrough:
 
-1. streams a long synthetic run into two spill backends -- one
+1. streams a long synthetic run into two sqlite stores -- one
    unscheduled, one with the canonical
    ``1000s:full,4000s:1m,inf:10m`` schedule;
-2. compacts the scheduled store and compares on-disk footprints;
+2. trims the scheduled store and compares on-disk footprints;
 3. shows reads inside the full-resolution horizon are *bit-identical*
    to the unscheduled store, while older ranges serve (mean, min,
    max, count) rollups that conserve every raw sample.
@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.persistence import RetentionSchedule, SpillBackend
+from repro.persistence import RetentionSchedule, SqliteBackend
 
 SCHEDULE = "1000s:full,4000s:1m,inf:10m"
 CADENCE = 0.5
@@ -36,12 +36,8 @@ def fill(backend):
         for lo in range(0, t.size, 2000):
             backend.write(component, "cpu", t[lo:lo + 2000],
                           v[lo:lo + 2000])
-    backend.close()  # spill hot tails so the footprint is on disk
+    backend.close()  # commit so the footprint is on disk
     return t
-
-
-def tree_bytes(path):
-    return sum(f.stat().st_size for f in Path(path).rglob("*"))
 
 
 def main():
@@ -50,27 +46,31 @@ def main():
     print(f"schedule      {schedule.format()}")
     print(f"full horizon  {schedule.full_horizon:g}s of raw samples\n")
 
-    plain = SpillBackend(tmp / "plain")
-    tiered = SpillBackend(tmp / "tiered", schedule=SCHEDULE)
-    t = fill(plain)
-    fill(tiered)
+    plain_db, tiered_db = tmp / "plain.db", tmp / "tiered.db"
+    t = fill(SqliteBackend(plain_db))
+    fill(SqliteBackend(tiered_db, schedule=SCHEDULE))
 
     # Re-open and migrate: rows older than each tier's aligned cutoff
-    # are re-bucketed to that tier's resolution.
-    tiered = SpillBackend(tmp / "tiered", schedule=SCHEDULE)
+    # are re-bucketed to that tier's resolution, then VACUUM returns
+    # the freed pages.  Trim the plain store too (VACUUM only), so
+    # both footprints are measured the same way.
+    plain = SqliteBackend(plain_db)
+    plain.compact()
+    plain.close()
+    tiered = SqliteBackend(tiered_db, schedule=SCHEDULE)
     stats = tiered.compact()
     tiered.close()
-    print(f"compacted     {stats['samples_rolled']:,} samples into "
-          f"{stats['rollup_segments_written']} rollup segments")
-    full_bytes = tree_bytes(tmp / "plain")
-    cold_bytes = tree_bytes(tmp / "tiered")
+    print(f"compacted     {stats['points_rolled']:,} samples into "
+          f"{stats['rollup_buckets_written']:,} rollup buckets")
+    full_bytes = plain_db.stat().st_size
+    cold_bytes = tiered_db.stat().st_size
     print(f"footprint     {full_bytes:,} -> {cold_bytes:,} bytes "
           f"({full_bytes / cold_bytes:.1f}x smaller)\n")
 
     # Inside the full-resolution horizon nothing changed -- reads are
     # bit-identical to the unscheduled store.
-    plain = SpillBackend(tmp / "plain")
-    tiered = SpillBackend(tmp / "tiered", schedule=SCHEDULE)
+    plain = SqliteBackend(plain_db)
+    tiered = SqliteBackend(tiered_db, schedule=SCHEDULE)
     newest = float(t[-1])
     raw = plain.query("web", "cpu", newest - 1000.0, newest)
     hot = tiered.query("web", "cpu", newest - 1000.0, newest)

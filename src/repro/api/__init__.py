@@ -14,10 +14,9 @@ logic from distribution policy, made concrete:
   :class:`~repro.api.session.Session`;
 * :mod:`~repro.api.registry` -- string-keyed plugin registries
   (``register_backend`` / ``register_executor`` /
-  ``register_consumer`` / ``register_drift_detector`` /
-  ``register_workload`` / ``register_application`` /
-  ``register_exporter``) through which every policy name in a spec,
-  a config or a CLI flag resolves.
+  ``register_consumer`` / ``register_workload`` /
+  ``register_application`` / ``register_exporter``) through which
+  every policy name in a spec, a config or a CLI flag resolves.
 
 The ten-line library quickstart::
 
@@ -41,7 +40,6 @@ from repro.api.registry import (
     APPLICATIONS,
     BACKENDS,
     CONSUMERS,
-    DRIFT_DETECTORS,
     EXECUTORS,
     EXPORTERS,
     REGISTRIES,
@@ -50,7 +48,6 @@ from repro.api.registry import (
     register_application,
     register_backend,
     register_consumer,
-    register_drift_detector,
     register_executor,
     register_exporter,
     register_workload,
@@ -110,7 +107,6 @@ __all__ = [
     "APPLICATIONS",
     "BACKENDS",
     "CONSUMERS",
-    "DRIFT_DETECTORS",
     "EXECUTORS",
     "EXPORTERS",
     "REGISTRIES",
@@ -119,7 +115,6 @@ __all__ = [
     "register_application",
     "register_backend",
     "register_consumer",
-    "register_drift_detector",
     "register_executor",
     "register_exporter",
     "register_workload",

@@ -1,10 +1,10 @@
 """String-keyed plugin registries: name -> factory, one mechanism.
 
 Every policy choice the pipeline offers -- where series are stored,
-where shards execute, which consumers watch the window stream, how
-drift is detected, what load is generated, which application model is
-driven -- used to be an ``if/elif`` ladder somewhere (``cli.py``,
-``engine.py``, ``executor.py``).  This module replaces those ladders
+where shards execute, which consumers watch the window stream, what
+load is generated, which application model is driven -- used to be an
+``if/elif`` ladder somewhere (``cli.py``, ``engine.py``,
+``executor.py``).  This module replaces those ladders
 with registries: a :class:`Registry` maps a short string key to a
 factory callable, the built-in implementations are pre-registered, and
 third-party extensions plug in with one call::
@@ -112,9 +112,6 @@ EXECUTORS = Registry("executor")
 #: Window consumers: ``factory(engine, **options) -> consumer``.
 CONSUMERS = Registry("consumer")
 
-#: Drift detectors: ``factory(**options) -> detector``.
-DRIFT_DETECTORS = Registry("drift detector")
-
 #: Workloads: ``factory(duration, seed, rate, **options) -> callable``.
 WORKLOADS = Registry("workload")
 
@@ -131,7 +128,6 @@ REGISTRIES = {
     "backend": BACKENDS,
     "executor": EXECUTORS,
     "consumer": CONSUMERS,
-    "drift_detector": DRIFT_DETECTORS,
     "workload": WORKLOADS,
     "application": APPLICATIONS,
     "exporter": EXPORTERS,
@@ -141,7 +137,6 @@ REGISTRIES = {
 register_backend = BACKENDS.register
 register_executor = EXECUTORS.register
 register_consumer = CONSUMERS.register
-register_drift_detector = DRIFT_DETECTORS.register
 register_workload = WORKLOADS.register
 register_application = APPLICATIONS.register
 register_exporter = EXPORTERS.register
@@ -163,13 +158,6 @@ def _sqlite_backend(path: Any, **options: Any) -> Any:
     from repro.persistence.sqlite_backend import SqliteBackend
 
     return SqliteBackend(path, **options)
-
-
-@BACKENDS.register("spill")
-def _spill_backend(path: Any, **options: Any) -> Any:
-    from repro.persistence.spill import SpillBackend
-
-    return SpillBackend(path, **options)
 
 
 # -- built-in executors ---------------------------------------------------
@@ -194,17 +182,6 @@ def _process_executor(workers: int | None = None) -> Any:
     # A one-worker pool cannot overlap anything; fall back to serial.
     return ShardExecutor() if resolved == 1 \
         else ProcessShardExecutor(resolved)
-
-
-# -- built-in drift detectors ---------------------------------------------
-
-
-@DRIFT_DETECTORS.register("standard")
-def _standard_drift(**options: Any) -> Any:
-    """Location/spread + coherence-gated shape drift (the default)."""
-    from repro.streaming.drift import DriftDetector
-
-    return DriftDetector(**options)
 
 
 # -- built-in workloads ---------------------------------------------------

@@ -2,7 +2,7 @@
 
 ``build_pipeline(spec)`` resolves every policy named by the spec
 through the plugin registries -- application, workload, storage
-backend, executor, drift detector, consumers -- wires them
+backend, executor, consumers -- wires them
 together exactly once, and hands back a :class:`Session` whose
 ``run()`` executes the declared mode:
 
@@ -94,7 +94,7 @@ class Session:
 
         ``retention`` overrides the spec's
         :attr:`~repro.api.spec.StorageSpec.retention` horizon (None
-        keeps it; 0 means merge-only, dropping nothing).  A
+        keeps it; 0 drops nothing).  A
         :attr:`~repro.api.spec.StorageSpec.schedule` travels with the
         backend itself, so this call also drives tiered-retention
         migration: points crossing a tier horizon are rolled up to
@@ -128,10 +128,7 @@ def _clear_backend_path(path: Path) -> None:
     Appending a second run's timeline to an existing backend would be
     rejected as out-of-order.
     """
-    import shutil
-
-    if path.exists():
-        shutil.rmtree(path) if path.is_dir() else path.unlink()
+    path.unlink(missing_ok=True)
     for sidecar in (Path(str(path) + "-wal"), Path(str(path) + "-shm")):
         sidecar.unlink(missing_ok=True)
 
@@ -141,7 +138,14 @@ def _open_storage(spec: RunSpec, fresh: bool) -> Any:
     storage = spec.storage
     if not storage.enabled:
         return None
-    if fresh and storage.path:
+    # Every backend stores one file (plus sqlite's WAL sidecars), so a
+    # directory is never a store: refuse it, and leave it untouched.
+    if Path(storage.path).is_dir():
+        raise ValueError(
+            f"storage path {storage.path!r} is a directory; "
+            "give the path of a store file"
+        )
+    if fresh:
         _clear_backend_path(Path(storage.path))
     options = dict(storage.options)
     if storage.schedule:
@@ -705,9 +709,7 @@ class ReplaySession(Session):
 
     def __init__(self, spec: RunSpec) -> None:
         super().__init__(spec)
-        self.backend = BACKENDS.create(spec.storage.kind,
-                                       spec.storage.path,
-                                       **spec.storage.options)
+        self.backend = _open_storage(spec, fresh=False)
         self.executor = _open_executor(spec)
 
     def run(self) -> ReplayOutcome:

@@ -97,7 +97,7 @@ class StorageSpec:
 
     options: dict = field(default_factory=dict)
     """Extra keyword arguments for the registered backend factory
-    (e.g. ``hot_points`` / ``compact_min_points`` for spill)."""
+    (e.g. ``commit_every`` for sqlite)."""
 
     def __post_init__(self) -> None:
         if self.kind not in BACKENDS:

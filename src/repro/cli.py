@@ -138,9 +138,9 @@ _FLAGS: dict[str, tuple] = {row[0]: row for row in (
     # record / replay name the same storage target differently
     ("--backend", "storage.kind", None, BACKENDS),
     ("--out", "storage.path",
-     "sqlite database file or spill directory", "PATH"),
+     "sqlite database file to record into (overwritten)", "PATH"),
     ("--path", "storage.path",
-     "recorded sqlite file or spill directory", "PATH"),
+     "recorded sqlite database file", "PATH"),
     # self-telemetry
     ("--telemetry", "telemetry.enabled",
      "collect self-telemetry (metrics + per-window phase spans); "
@@ -284,9 +284,9 @@ def _add_compact(parser) -> None:
     parser.add_argument("--compact", action="store_true",
                         default=False,
                         help="compact the durable store after the run "
-                             "(merge small spill segments / VACUUM "
-                             "sqlite, dropping samples past the "
-                             "--store-retention horizon)")
+                             "(roll up per --store-schedule, drop "
+                             "samples past the --store-retention "
+                             "horizon, then VACUUM sqlite)")
 
 
 # -- flags -> RunSpec ------------------------------------------------------

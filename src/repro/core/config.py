@@ -114,12 +114,6 @@ class StreamingConfig:
     """Coherence-weighted shape distance (SBD) above which a cluster
     representative counts as drifted."""
 
-    drift_detector: str = "standard"
-    """Which registered drift detector the engine scores windows with
-    (see :data:`repro.api.registry.DRIFT_DETECTORS`); third-party
-    detectors plug in via
-    :func:`repro.api.register_drift_detector`."""
-
     full_refresh_windows: int = 0
     """Force a full re-cluster every N windows (0 = rely purely on
     metric-set changes and drift detection)."""
@@ -198,22 +192,17 @@ class StreamingConfig:
             )
         if self.checkpoint_every_windows < 0:
             raise ValueError("checkpoint_every_windows must be >= 0")
-        # Executor and drift-detector choices resolve through the
-        # plugin registries, so a third-party strategy registered via
-        # repro.api passes validation exactly like a builtin.  The
-        # import is local: the registry module is a leaf, but this
-        # module loads far too early to import it at module scope.
-        from repro.api.registry import DRIFT_DETECTORS, EXECUTORS
+        # The executor choice resolves through the plugin registry,
+        # so a third-party strategy registered via repro.api passes
+        # validation exactly like a builtin.  The import is local: the
+        # registry module is a leaf, but this module loads far too
+        # early to import it at module scope.
+        from repro.api.registry import EXECUTORS
 
         if self.executor not in EXECUTORS:
             raise ValueError(
                 f"unknown executor {self.executor!r} "
                 f"(registered: {', '.join(EXECUTORS.names())})"
-            )
-        if self.drift_detector not in DRIFT_DETECTORS:
-            raise ValueError(
-                f"unknown drift detector {self.drift_detector!r} "
-                f"(registered: {', '.join(DRIFT_DETECTORS.names())})"
             )
         if self.executor_workers < 0:
             raise ValueError("executor_workers must be >= 0")

@@ -58,7 +58,6 @@ class LintConfig:
         # defining module and api/registry.py are always allowed).
         "MemoryBackend": ("persistence/backend.py",),
         "SqliteBackend": ("persistence/sqlite_backend.py",),
-        "SpillBackend": ("persistence/spill.py",),
         "ShardExecutor": ("parallel/executor.py",),
         "ProcessShardExecutor": ("parallel/executor.py",),
     })

@@ -12,9 +12,9 @@ Where the samples actually live is delegated to a pluggable
 :class:`~repro.persistence.backend.StorageBackend`: the default
 :class:`~repro.persistence.backend.MemoryBackend` preserves the
 original in-RAM behaviour, while
-:class:`~repro.persistence.sqlite_backend.SqliteBackend` /
-:class:`~repro.persistence.spill.SpillBackend` make the same metered
-store durable -- the metering itself is backend-agnostic.
+:class:`~repro.persistence.sqlite_backend.SqliteBackend` makes the
+same metered store durable -- the metering itself is
+backend-agnostic.
 """
 
 from __future__ import annotations

@@ -11,9 +11,9 @@ plugged in:
 * :class:`~repro.persistence.backend.MemoryBackend` -- the original
   in-RAM MetricFrame (default, zero overhead);
 * :class:`~repro.persistence.sqlite_backend.SqliteBackend` -- durable
-  point log with indexed range scans in one sqlite file;
-* :class:`~repro.persistence.spill.SpillBackend` -- hot numpy tails in
-  RAM, cold immutable npz segments on disk behind an ``index.json``.
+  point log with indexed range scans in one sqlite file, and the
+  durable store that applies a tiered-retention schedule
+  (:mod:`~repro.persistence.retention`) when it is trimmed.
 
 Crash safety for streaming runs composes two pieces:
 
@@ -51,7 +51,6 @@ from repro.persistence.retention import (
     parse_duration,
     rollup_arrays,
 )
-from repro.persistence.spill import SpillBackend
 from repro.persistence.sqlite_backend import SqliteBackend
 
 #: Checkpoint symbols resolve lazily (PEP 562): checkpoint.py imports
@@ -82,7 +81,6 @@ __all__ = [
     "MemoryBackend",
     "RetentionSchedule",
     "RollupSeries",
-    "SpillBackend",
     "SqliteBackend",
     "StorageBackend",
     "Tier",

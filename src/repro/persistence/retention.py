@@ -13,10 +13,9 @@ supplies the policy half of that design:
   buckets -- into (mean, min, max, count) per bucket;
 * :class:`RollupSeries` is what aggregate-aware queries return.
 
-The mechanism half lives in the storage backends
-(:meth:`~repro.persistence.spill.SpillBackend.compact`,
-:meth:`~repro.persistence.sqlite_backend.SqliteBackend.trim`), which
-apply a schedule when migrating points across tier horizons.
+The mechanism half lives in the durable store
+(:meth:`~repro.persistence.sqlite_backend.SqliteBackend.trim`), which
+applies a schedule when migrating points across tier horizons.
 
 Two invariants make tier migration exact and idempotent:
 

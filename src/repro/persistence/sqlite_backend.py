@@ -365,8 +365,9 @@ class SqliteBackend(BackendBase):
         per-series anchor mirrors the journal's retirement semantics,
         so a quiet series never loses its only history to a global
         clock that moved on.  ``VACUUM`` then returns the freed pages
-        to the filesystem (a plain DELETE only marks them reusable).
-        Returns trim stats.
+        to the filesystem (a plain DELETE only marks them reusable);
+        in WAL mode the vacuumed copy sits in the ``-wal`` sidecar
+        until a checkpoint, so one is forced.  Returns trim stats.
         """
         self.flush()
         deleted = 0
@@ -392,6 +393,7 @@ class SqliteBackend(BackendBase):
             self._conn.commit()
         # VACUUM must run outside any transaction (flush/commit above).
         self._conn.execute("VACUUM")
+        self._conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
         return {"points_deleted": deleted,
                 "points_rolled": rolled,
                 "rollup_buckets_written": buckets}

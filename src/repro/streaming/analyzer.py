@@ -177,7 +177,6 @@ class WindowAnalyzer:
     """Runs reduce + identify over successive windows with reuse."""
 
     def __init__(self, config: StreamingConfig | None = None,
-                 drift_detector: DriftDetector | None = None,
                  seed: int = 0,
                  executor: ShardExecutor | None = None,
                  telemetry: Telemetry | None = None):
@@ -189,7 +188,7 @@ class WindowAnalyzer:
         timing runs through (a private disabled instance otherwise --
         the clock always ticks, retention is what enablement buys)."""
         self.config = config or StreamingConfig()
-        self.drift = drift_detector or DriftDetector(
+        self.drift = DriftDetector(
             threshold=self.config.drift_threshold,
             shape_threshold=self.config.drift_shape_threshold,
         )

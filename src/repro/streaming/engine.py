@@ -69,23 +69,16 @@ class StreamingSieve:
         self.sla_history: deque[tuple[float, float]] = deque(maxlen=65536)
         """Recent (time, end-to-end latency) observations (see
         :meth:`observe_latency`)."""
-        # The detector implementation is a registry-resolved policy
-        # choice (config.drift_detector), so seasonality-aware or
-        # per-metric-adaptive detectors plug in without engine edits.
-        from repro.api.registry import DRIFT_DETECTORS, EXECUTORS
+        from repro.api.registry import EXECUTORS
 
-        self.drift: DriftDetector = DRIFT_DETECTORS.create(
-            self.config.drift_detector,
-            threshold=self.config.drift_threshold,
-            shape_threshold=self.config.drift_shape_threshold,
-        )
         self.executor = executor if executor is not None else \
             EXECUTORS.create(self.config.executor,
                              self.config.executor_workers or None)
         self.analyzer = WindowAnalyzer(
-            config=self.config, drift_detector=self.drift, seed=seed,
+            config=self.config, seed=seed,
             executor=self.executor, telemetry=self.telemetry,
         )
+        self.drift: DriftDetector = self.analyzer.drift
         self.history: deque[WindowAnalysis] = deque(
             maxlen=self.config.history
         )

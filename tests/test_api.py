@@ -9,8 +9,7 @@ Covers the PR-5 acceptance surface:
   flag table (including the executor flags each mode keeps);
 * ``repro spec``-emitted specs reproduce the run when re-fed;
 * plugin registries (builtins + third-party registration);
-* backend compaction (spill merge/retire, sqlite trim) and
-  ``Session.compact``;
+* backend compaction (sqlite trim) and ``Session.compact``;
 * the adaptive analysis cadence and its checkpoint round-trip.
 """
 
@@ -29,8 +28,8 @@ from repro.api import (
     APPLICATIONS,
     BACKENDS,
     CONSUMERS,
-    DRIFT_DETECTORS,
     EXECUTORS,
+    REGISTRIES,
     WORKLOADS,
     PipelineBuilder,
     RunSpec,
@@ -56,11 +55,9 @@ from repro.core.serialize import (
     streaming_config_from_dict,
     streaming_config_to_dict,
 )
-from repro.metrics.timeseries import MetricKey
 from repro.parallel.executor import ShardExecutor
 from repro.persistence import (
     MemoryBackend,
-    SpillBackend,
     SqliteBackend,
     load_checkpoint,
     restore_engine,
@@ -133,11 +130,11 @@ def _assert_same_analysis(left, right):
 
 class TestRegistries:
     def test_builtins_registered(self):
-        assert {"memory", "sqlite", "spill"} <= set(BACKENDS.names())
+        assert BACKENDS.names() == ["memory", "sqlite"]
         assert {"serial", "process"} <= set(EXECUTORS.names())
         assert not {"thread", "shm"} & set(EXECUTORS.names())
         assert {"random", "constant", "ramp"} <= set(WORKLOADS.names())
-        assert "standard" in DRIFT_DETECTORS
+        assert "drift_detector" not in REGISTRIES
         assert {"rca", "scaling"} <= set(CONSUMERS.names())
         assert {"sharelatex", "openstack"} <= set(APPLICATIONS.names())
 
@@ -196,8 +193,8 @@ class TestRegistries:
             ConsumerSpec(kind="pager")
         with pytest.raises(ValueError, match="unknown application"):
             RunSpec(app="netflix")
-        with pytest.raises(ValueError, match="unknown drift detector"):
-            StreamingConfig(drift_detector="spectral")
+        with pytest.raises(TypeError, match="drift_detector"):
+            StreamingConfig(drift_detector="standard")
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +218,9 @@ class TestSpecRoundTrip:
                 sieve=SieveConfig(max_clusters=5,
                                   granger_lags=(1, 2, 3)),
             ),
-            storage=StorageSpec(kind="spill", path=path,
+            storage=StorageSpec(kind="sqlite", path=path,
                                 retention=60.0,
-                                options={"hot_points": 64}),
+                                options={"commit_every": 64}),
             journal="j.log",
             checkpoint="c.json",
             consumers=(
@@ -297,7 +294,8 @@ class TestSpecRoundTrip:
                            match="unknown SieveConfig field"):
             sieve_config_from_dict({"max_k": 7})
 
-    @pytest.mark.parametrize("field", ["writer", "writer_queue_batches"])
+    @pytest.mark.parametrize("field", ["writer", "writer_queue_batches",
+                                       "drift_detector"])
     def test_removed_writer_fields_rejected(self, field):
         with pytest.raises(ValueError,
                            match=f"unknown StreamingConfig field.*{field}"):
@@ -363,8 +361,8 @@ class TestSpecRoundTrip:
                            hop_max=20.0)
                 .sieve(max_clusters=5, granger_lags=(1, 2, 3))
                 .executor("process", workers=3)
-                .storage("spill", str(tmp_path / "run.db"),
-                         retention=60.0, hot_points=64)
+                .storage("sqlite", str(tmp_path / "run.db"),
+                         retention=60.0, commit_every=64)
                 .journal("j.log").checkpoint("c.json")
                 .consumer("rca", latency_threshold=2.0)
                 .consumer("scaling", component="back",
@@ -696,7 +694,7 @@ class TestFlagTable:
                 adaptive_hop=True, hop_min=2.0, hop_max=40.0,
                 checkpoint_every_windows=3, executor="process",
                 executor_workers=3),
-            storage=StorageSpec("spill", "s", retention=500.0,
+            storage=StorageSpec("memory", "s.db", retention=500.0,
                                 schedule="1000s:full,inf:1m"),
             journal="j.log", checkpoint="c.json",
             telemetry=TelemetrySpec(enabled=True, port=9464,
@@ -917,6 +915,32 @@ class TestSessions:
         with pytest.raises(ValueError, match="mismatch"):
             build_pipeline(mismatched)
 
+    def test_checkpoint_with_removed_drift_detector_key_resumes(
+            self, tmp_path):
+        # Checkpoints written while StreamingConfig still had a
+        # ``drift_detector`` field embed it in their spec; resume reads
+        # that spec only by key, so the stale field is ignored.
+        spec = _stream_spec(
+            journal=str(tmp_path / "j.log"),
+            checkpoint=str(tmp_path / "c.json"),
+            duration=50.0,
+            streaming=StreamingConfig(window=20.0, hop=10.0,
+                                      retention=120.0,
+                                      checkpoint_every_windows=1),
+        )
+        with build_pipeline(spec) as session:
+            session.run()
+            windows = session.engine.stats.windows
+        state = load_checkpoint(spec.checkpoint)
+        state["spec"]["streaming"]["drift_detector"] = "standard"
+        with open(spec.checkpoint, "w", encoding="utf-8") as handle:
+            json.dump(state, handle, sort_keys=True)
+        resumed = dataclasses.replace(spec, resume=True, duration=70.0)
+        with build_pipeline(resumed) as session:
+            assert session.resumed
+            session.run()
+            assert session.engine.stats.windows > windows
+
     @pytest.mark.parametrize("mode", ["stream", "serve"])
     def test_close_closes_the_journal(self, tmp_path, mode):
         builder = (PipelineBuilder("demo-chain").mode(mode)
@@ -973,88 +997,6 @@ class TestSessions:
 
 # ---------------------------------------------------------------------------
 # Compaction
-
-
-class TestSpillCompaction:
-    def _fragmented(self, tmp_path):
-        """Three small cold segments (partial tails over reopens)."""
-        t = 0.0
-        for _ in range(3):
-            backend = SpillBackend(tmp_path / "d", hot_points=64)
-            times = [t + 0.5 * i for i in range(4)]
-            backend.write("web", "cpu", times,
-                          [float(i) for i in range(4)])
-            t = times[-1] + 0.5
-            backend.close()
-        return SpillBackend(tmp_path / "d", hot_points=64)
-
-    def test_merges_small_segments(self, tmp_path):
-        backend = self._fragmented(tmp_path)
-        key = MetricKey("web", "cpu")
-        assert len(backend._segments[key]) == 3
-        reference = backend.query("web", "cpu")
-        stats = backend.compact()
-        assert stats["segments_merged"] == 3
-        assert stats["segments_written"] == 1
-        assert len(backend._segments[key]) == 1
-        merged = backend.query("web", "cpu")
-        assert np.array_equal(merged.times, reference.times)
-        assert np.array_equal(merged.values, reference.values)
-        # The merged sources are gone from disk.
-        segment_files = list((tmp_path / "d").glob("seg-*.npz"))
-        assert len(segment_files) == 1
-        backend.close()
-
-    def test_merged_directory_reopens(self, tmp_path):
-        backend = self._fragmented(tmp_path)
-        reference = backend.query("web", "cpu")
-        backend.compact()
-        backend.close()
-        reopened = SpillBackend(tmp_path / "d")
-        restored = reopened.query("web", "cpu")
-        assert np.array_equal(restored.times, reference.times)
-        assert np.array_equal(restored.values, reference.values)
-        # ... and the ordering guard still rejects the past.
-        with pytest.raises(ValueError, match="out-of-order"):
-            reopened.write("web", "cpu", [0.0], [0.0])
-        reopened.close()
-
-    def test_retention_drops_old_segments(self, tmp_path):
-        backend = SpillBackend(tmp_path / "d", hot_points=8)
-        for chunk in range(3):
-            times = [8 * chunk + i for i in range(8)]
-            backend.write("web", "cpu", times, times)
-        assert len(backend._segments[MetricKey("web", "cpu")]) == 3
-        before = backend.sample_count()
-        stats = backend.compact(retention=10.0)
-        # newest=23 -> cutoff 13: the first segment (ends at 7) drops,
-        # the second (ends at 15) still overlaps and must survive.
-        assert stats["segments_dropped"] == 1
-        assert stats["samples_dropped"] == 8
-        assert backend.sample_count() == before - 8
-        kept = backend.query("web", "cpu")
-        assert kept.times[0] == 8.0
-        assert kept.times[-1] == 23.0
-        backend.close()
-
-    def test_compact_min_points_is_registry_visible(self, tmp_path):
-        backend = BACKENDS.create("spill", tmp_path / "d",
-                                  compact_min_points=2)
-        assert backend.compact_min_points == 2
-        backend.close()
-
-    def test_quiet_series_keeps_history(self, tmp_path):
-        """Retention anchors per series: a quiet series' only segment
-        survives even when another series is far ahead."""
-        backend = SpillBackend(tmp_path / "d", hot_points=8)
-        backend.write("quiet", "cpu", [float(i) for i in range(8)],
-                      [0.0] * 8)
-        backend.write("busy", "cpu",
-                      [1000.0 + i for i in range(8)], [0.0] * 8)
-        stats = backend.compact(retention=5.0)
-        assert stats["segments_dropped"] == 0
-        assert len(backend.query("quiet", "cpu")) == 8
-        backend.close()
 
 
 class TestSqliteTrim:

@@ -27,7 +27,6 @@ from repro.persistence import (
     CheckpointPolicy,
     IngestJournal,
     MemoryBackend,
-    SpillBackend,
     SqliteBackend,
     checkpoint_state,
     journal_record_count,
@@ -92,12 +91,10 @@ def _chain_app(shift_backend=False):
 def _backend(kind, tmp_path):
     if kind == "memory":
         return MemoryBackend()
-    if kind == "sqlite":
-        return SqliteBackend(tmp_path / "points.db")
-    return SpillBackend(tmp_path / "spill", hot_points=64)
+    return SqliteBackend(tmp_path / "points.db")
 
 
-BACKENDS = ("memory", "sqlite", "spill")
+BACKENDS = ("memory", "sqlite")
 
 
 # ---------------------------------------------------------------------------
@@ -189,81 +186,14 @@ class TestDurability:
         assert reopened.metadata()["seed"] == 7
         assert reopened.query("web", "cpu").values.tolist() == [1.0, 2.0]
 
-    def test_spill_survives_reopen(self, tmp_path):
-        path = tmp_path / "spill"
-        backend = SpillBackend(path, hot_points=16)
-        backend.write("web", "cpu", np.arange(20.0), np.arange(20.0))
-        backend.write("web", "cpu", 20.0 + np.arange(20.0),
-                      20.0 + np.arange(20.0))
-        backend.set_metadata({"seed": 7})
-        assert backend.spills >= 2
-        backend.close()
-        reopened = SpillBackend(path)
-        assert reopened.sample_count() == 40
-        assert reopened.metadata()["seed"] == 7
-        ts = reopened.query("web", "cpu", 10.0, 20.0)
-        assert ts.times.tolist() == [float(i) for i in range(10, 21)]
-
-    def test_spill_bounds_ram(self, tmp_path):
-        backend = SpillBackend(tmp_path / "spill", hot_points=32)
-        for step in range(20):
-            t = 10.0 * step + np.arange(10.0)
-            backend.write("web", "cpu", t, np.zeros(10))
-        assert backend.hot_sample_count() < 32 + 10
-        assert backend.sample_count() == 200
-
-    def test_spill_hot_tail_holds_no_flush_arrays(self, tmp_path):
-        # A bus flush delivers views of one array per flush; a hot
-        # tail keeping a view would keep the whole flush in memory.
-        backend = SpillBackend(tmp_path / "spill", hot_points=32)
-        bus = IngestionBus()
-        bus.subscribe(backend)
-        bus.publish_points("web", "cpu", [1.0, 2.0], [1.0, 2.0])
-        bus.publish_points("db", "mem", [1.0], [1.0])
-        bus.flush()
-        for chunks in (hot.chunks for hot in backend._hot.values()):
-            assert all(t.base is None and v.base is None
-                       for t, v in chunks)
-        assert backend.query("web", "cpu").times.tolist() == [1.0, 2.0]
-
-    def test_spill_rejects_out_of_order(self, tmp_path):
-        backend = SpillBackend(tmp_path / "spill")
-        backend.write("web", "cpu", [5.0], [1.0])
-        with pytest.raises(ValueError):
-            backend.write("web", "cpu", [4.0], [1.0])
-
-    def test_spill_reopen_keeps_out_of_order_guard(self, tmp_path):
-        backend = SpillBackend(tmp_path / "spill", hot_points=8)
-        backend.write("web", "cpu", 10.0 + np.arange(10.0),
-                      np.arange(10.0))
-        backend.close()
-        reopened = SpillBackend(tmp_path / "spill")
-        # Writing behind the existing segments would silently corrupt
-        # range queries (they assume time-ordered concatenation).
-        with pytest.raises(ValueError):
-            reopened.write("web", "cpu", [5.0], [1.0])
-        reopened.write("web", "cpu", [25.0], [1.0])  # forward is fine
-        assert reopened.query("web", "cpu").times[-1] == 25.0
-
-    def test_parquet_spill_reopen_needs_pyarrow(self, tmp_path):
-        spill_dir = tmp_path / "spill"
-        spill_dir.mkdir()
-        (spill_dir / "index.json").write_text(json.dumps({
-            "version": 1, "segment_format": "parquet",
-            "next_segment": 0, "meta": {}, "series": [],
-        }))
-        with pytest.raises(ValueError,
-                           match="segment format 'parquet'"):
-            SpillBackend(spill_dir)
-
     def test_backend_registry_dispatch(self, tmp_path):
         create = registry.BACKENDS.create
+        assert registry.BACKENDS.names() == ["memory", "sqlite"]
         assert isinstance(create("memory", None), MemoryBackend)
         assert isinstance(create("sqlite", tmp_path / "x.db"),
                           SqliteBackend)
-        assert isinstance(create("spill", tmp_path / "d"), SpillBackend)
         with pytest.raises(ValueError):
-            create("redis", None)
+            create("spill", tmp_path / "d")
 
 
 # ---------------------------------------------------------------------------
@@ -1250,7 +1180,7 @@ class TestCLIPersistence:
         assert args.func.__name__ == "cmd_stream"
         assert args.checkpoint_every == 3
         args = parser.parse_args(
-            ["record", "--backend", "spill", "--out", "d"])
+            ["record", "--backend", "sqlite", "--out", "d.db"])
         assert args.func.__name__ == "cmd_record"
         args = parser.parse_args(
             ["replay", "--backend", "sqlite", "--path", "x.db"])
@@ -1344,52 +1274,90 @@ class TestCLIPersistence:
         assert main(args) == 0
         assert SqliteBackend(db).sample_count() == first
 
+    def test_directory_store_target_is_refused(self, tmp_path, capsys):
+        from repro.cli import main
+
+        # No backend stores data in a directory: a directory given as
+        # the store path is refused (exit 2), never cleared or opened.
+        target = tmp_path / "keep"
+        target.mkdir()
+        (target / "notes.txt").write_text("precious")
+        assert main(["record", "--out", str(target), "--duration", "8",
+                     "--workload", "constant"]) == 2
+        assert main(["stream", "--store", str(target), "--duration",
+                     "5", "--window", "10", "--workload",
+                     "constant"]) == 2
+        assert main(["replay", "--path", str(target)]) == 2
+        assert "is a directory" in capsys.readouterr().err
+        assert [p.name for p in target.iterdir()] == ["notes.txt"]
+        assert (target / "notes.txt").read_text() == "precious"
+
+    @pytest.mark.parametrize("argv", [
+        ["stream", "--store", "s.db", "--store-backend", "spill"],
+        ["record", "--out", "r.db", "--backend", "spill"],
+    ])
+    def test_spill_backend_choice_is_gone(self, argv, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        assert "invalid choice: 'spill'" in capsys.readouterr().err
+
 
 # ---------------------------------------------------------------------------
 # Kill matrix: tiered-retention compaction crashes
 
 
 _TIER_SCHEDULE = "100s:full,400s:10s,inf:40s"
+_TIER_SERIES = (("web", "cpu"), ("db", "mem"))
 
 
-def _tiered_fill(directory, schedule=_TIER_SCHEDULE):
-    backend = SpillBackend(directory, hot_points=256, schedule=schedule)
+def _tiered_fill(path, schedule=_TIER_SCHEDULE):
+    """Two committed series, old enough for both rollup tiers."""
+    backend = SqliteBackend(path, schedule=schedule)
     t = np.arange(0.0, 2000.0, 0.5)
-    rng = np.random.default_rng(11)
-    v = np.cumsum(rng.standard_normal(t.size))
-    for lo in range(0, t.size, 500):
-        backend.write("web", "cpu", t[lo:lo + 500], v[lo:lo + 500])
-    backend.close()  # spill the hot tail; every sample is durable
-    return t, v
+    raw = {}
+    for i, key in enumerate(_TIER_SERIES):
+        v = np.cumsum(np.random.default_rng(11 + i).standard_normal(
+            t.size))
+        for lo in range(0, t.size, 500):
+            backend.write(*key, t[lo:lo + 500], v[lo:lo + 500])
+        raw[key] = v
+    backend.close()  # commit: every sample is durable
+    return t, raw
 
 
 class TestTieredCompactionCrash:
     def test_sigkill_mid_rollup_preserves_precompact_view(self,
                                                           tmp_path):
-        """A real SIGKILL while the first rollup segment is being
-        written must leave the pre-compaction view intact (the index
-        is only rewritten after every segment lands), and a second
-        compaction must finish the migration without double-rolling
-        or losing buckets."""
+        """A real SIGKILL inside ``trim`` -- after the first series'
+        rollup DELETE/INSERT ran, before the transaction committed --
+        must leave the pre-compaction view intact, and a retried trim
+        must finish the migration without double-rolling or losing
+        buckets."""
         import subprocess
         import sys
 
-        store = tmp_path / "store"
-        t, v = _tiered_fill(store)
+        store = tmp_path / "store.db"
+        t, raw = _tiered_fill(store)
         src = str(Path(__file__).resolve().parents[1] / "src")
+        # The first series has two rollup regions (one call each), so
+        # the third call is the second series: the first is migrated.
         script = (
             "import os, signal\n"
-            "import repro.persistence.spill as spill\n"
-            "orig = spill._write_segment\n"
-            "def killer(path, arrays):\n"
-            "    if 'vmin' in arrays:\n"
+            "import repro.persistence.sqlite_backend as sb\n"
+            "orig = sb.rollup_arrays\n"
+            "calls = []\n"
+            "def killer(*args, **kwargs):\n"
+            "    calls.append(1)\n"
+            "    if len(calls) == 3:\n"
             "        os.kill(os.getpid(), signal.SIGKILL)\n"
-            "    return orig(path, arrays)\n"
-            "spill._write_segment = killer\n"
-            "from repro.persistence import SpillBackend\n"
-            f"backend = SpillBackend({str(store)!r}, hot_points=256,\n"
-            f"                       schedule={_TIER_SCHEDULE!r})\n"
-            "backend.compact()\n"
+            "    return orig(*args, **kwargs)\n"
+            "sb.rollup_arrays = killer\n"
+            f"backend = sb.SqliteBackend({str(store)!r},\n"
+            f"                           schedule={_TIER_SCHEDULE!r})\n"
+            "backend.trim()\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", script],
@@ -1398,54 +1366,23 @@ class TestTieredCompactionCrash:
         )
         assert proc.returncode == -signal.SIGKILL, proc.stderr.decode()
 
-        # The killed compaction left at worst orphaned files: the
-        # reopened directory still serves the raw, pre-compact view.
-        reopened = SpillBackend(store, hot_points=256,
-                                schedule=_TIER_SCHEDULE)
-        got = reopened.query("web", "cpu", float("-inf"), float("inf"))
-        assert np.array_equal(got.times, t)
-        assert np.array_equal(got.values, v)
+        # The migration is one transaction: the reopened database
+        # still serves the raw, pre-compact view bit for bit.
+        reopened = SqliteBackend(store, schedule=_TIER_SCHEDULE)
+        for key, v in raw.items():
+            got = reopened.query(*key, float("-inf"), float("inf"))
+            assert np.array_equal(got.times, t)
+            assert np.array_equal(got.values, v)
 
         # The retried migration completes and conserves every sample.
-        stats = reopened.compact()
-        assert stats["samples_rolled"] > 0
-        rolled = reopened.query_rollup("web", "cpu",
-                                       float("-inf"), float("inf"))
-        assert rolled.total_samples() == t.size
-        assert np.all(np.diff(rolled.times) > 0)
-        again = reopened.compact()
-        assert again["samples_rolled"] == 0
-        reopened.close()
-
-    def test_crash_between_index_publish_and_unlink(self, tmp_path,
-                                                    monkeypatch):
-        """Dying after the atomic index rewrite but before the old
-        segment files are unlinked leaves orphans a later compaction
-        ignores -- reads and re-compaction see only the new view."""
-        store = tmp_path / "store"
-        t, _v = _tiered_fill(store)
-        backend = SpillBackend(store, hot_points=256,
-                               schedule=_TIER_SCHEDULE)
-        live_files = {f.name for f in store.iterdir()}
-        with monkeypatch.context() as patched:
-            patched.setattr(Path, "unlink",
-                            lambda self, missing_ok=False: None)
-            backend.compact()
-        # The old segment files really are still on disk (the crash
-        # window exists) ...
-        assert live_files - {"index.json"} \
-            <= {f.name for f in store.iterdir()}
-        backend.close()
-
-        # ... yet the reopened view is the migrated one, conserves
-        # every sample, and a second compaction rolls nothing twice.
-        reopened = SpillBackend(store, hot_points=256,
-                                schedule=_TIER_SCHEDULE)
-        rolled = reopened.query_rollup("web", "cpu",
-                                       float("-inf"), float("inf"))
-        assert rolled.total_samples() == t.size
-        assert np.all(np.diff(rolled.times) > 0)
-        assert reopened.compact()["samples_rolled"] == 0
+        stats = reopened.trim()
+        assert stats["points_rolled"] > 0
+        for key in raw:
+            rolled = reopened.query_rollup(*key, float("-inf"),
+                                           float("inf"))
+            assert rolled.total_samples() == t.size
+            assert np.all(np.diff(rolled.times) > 0)
+        assert reopened.trim()["points_rolled"] == 0
         reopened.close()
 
 
@@ -1459,7 +1396,7 @@ class TestResumeAcrossRollupBoundary:
 
         # Uninterrupted reference run with an *unscheduled* store:
         # the ground truth for both windows and raw sample counts.
-        reference_store = SpillBackend(tmp / "ref-store", hot_points=8)
+        reference_store = SqliteBackend(tmp / "ref.db")
         reference_engine = StreamingSieve(
             config=config, seed=3, store_backend=reference_store,
             application="demo", workload="stream",
@@ -1469,35 +1406,49 @@ class TestResumeAcrossRollupBoundary:
         reference_windows = uninterrupted.run(90.0)
         reference_store.flush()
 
-        # Doomed run with a tiered store; compaction crosses a rollup
-        # boundary right before the crash.
+        # Doomed run with a tiered store; a trim crosses a rollup
+        # boundary mid-run.  The small flush threshold makes the bus
+        # journal and store samples inside a hop, between checkpoints.
         journal = IngestJournal(tmp / "ingest.journal")
-        store = SpillBackend(tmp / "store", hot_points=8,
-                             schedule=schedule)
+        store = SqliteBackend(tmp / "store.db", schedule=schedule)
         engine = StreamingSieve(
             config=config, seed=3, journal=journal, store_backend=store,
+            bus=IngestionBus(flush_threshold=128),
             application="demo", workload="stream",
         )
         doomed = _streaming_driver(config=config, engine=engine)
         policy = CheckpointPolicy(engine, tmp / "state.ckpt", every=1)
         engine.subscribe(policy)
-        early_windows = doomed.run(50.0)
-        mid_stats = store.compact()
-        # The crash: unspilled hot rows are lost.  The journal's frames
-        # already reached the OS; the doomed store is dropped, never
-        # closed, since closing would spill the rows the crash loses.
+        mid_stats = {}
+
+        def trim_once(analysis):
+            if not mid_stats and analysis.end >= 40.0:
+                mid_stats.update(store.trim())
+
+        early_windows = doomed.run(50.0, on_window=trim_once)
+        doomed.session.advance(3.7)
+        # The crash, 3.7s into the next hop: the open transaction --
+        # every row stored since the last checkpoint committed -- is
+        # lost, while the journal's frames already reached the OS.
+        # SqliteBackend.close() would commit, so the raw connection is
+        # rolled back and closed instead (a doomed connection left to
+        # the GC would hold the write lock).
+        assert store._uncommitted > 0
+        store._conn.rollback()
+        store._conn.close()
         journal.close()
         del doomed
 
         # Resume against the reopened (already partially rolled-up)
         # store; the journal heals the lost tail.
-        healed = SpillBackend(tmp / "store", hot_points=8,
-                              schedule=schedule)
+        healed = SqliteBackend(tmp / "store.db", schedule=schedule)
         restored = restore_engine(tmp / "state.ckpt", config,
                                   journal_path=tmp / "ingest.journal",
                                   store_backend=healed)
         resumed = _streaming_driver(config=config, engine=restored)
-        late_windows = resumed.resume_run(40.0)
+        # The journal ends at the last 0.5 s scrape before the crash
+        # (t=58.5); 36.5 s more ends on the reference's last hop.
+        late_windows = resumed.resume_run(36.5)
         healed.flush()
         yield (reference_store, reference_windows, early_windows,
                late_windows, healed, mid_stats)
@@ -1506,7 +1457,7 @@ class TestResumeAcrossRollupBoundary:
 
     def test_compaction_crossed_a_rollup_boundary(self, runs):
         *_rest, mid_stats = runs
-        assert mid_stats["samples_rolled"] > 0
+        assert mid_stats["points_rolled"] > 0
 
     def test_windows_bit_identical_to_uninterrupted_run(self, runs):
         _s, reference, early, late, *_rest = runs
@@ -1524,8 +1475,8 @@ class TestResumeAcrossRollupBoundary:
 
     def test_no_lost_or_double_rolled_buckets(self, runs):
         reference_store, _w, _e, _l, healed, _m = runs
-        stats = healed.compact()  # migrate the resumed tail too
-        assert healed.compact()["samples_rolled"] == 0
+        stats = healed.trim()  # migrate the resumed tail too
+        assert healed.trim()["points_rolled"] == 0
         assert set(healed.keys()) == set(reference_store.keys())
         for key in reference_store.keys():
             want = reference_store.query(key.component, key.metric,
