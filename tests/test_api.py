@@ -196,6 +196,16 @@ class TestRegistries:
         with pytest.raises(TypeError, match="drift_detector"):
             StreamingConfig(drift_detector="standard")
 
+    def test_engine_drift_detector_follows_config_thresholds(self):
+        config = StreamingConfig(window=20.0, hop=10.0,
+                                 drift_threshold=4.5,
+                                 drift_shape_threshold=0.4)
+        engine = StreamingSieve(config=config, seed=1)
+        # One detector, owned by the analyzer and built from the config.
+        assert engine.drift is engine.analyzer.drift
+        assert engine.drift.threshold == 4.5
+        assert engine.drift.shape_threshold == 0.4
+
 
 # ---------------------------------------------------------------------------
 # Spec round-trips
@@ -1036,6 +1046,55 @@ class TestSqliteTrim:
         assert backend.sample_count() == 10
         backend.close()
 
+    def test_schedule_anchors_per_series(self, tmp_path):
+        # Tier cutoffs follow each series' own newest sample: a quiet
+        # series keeps its raw history while another runs far ahead.
+        backend = SqliteBackend(tmp_path / "x.db",
+                                schedule="10s:full,inf:5s")
+        backend.write("quiet", "cpu", [float(i) for i in range(8)],
+                      [0.0] * 8)
+        backend.write("busy", "cpu",
+                      [1000.0 + i for i in range(100)], [0.0] * 100)
+        stats = backend.trim()
+        assert stats["points_rolled"] > 0
+        quiet = backend.query_rollup("quiet", "cpu")
+        assert quiet.times.tolist() == [float(i) for i in range(8)]
+        assert np.all(quiet.counts == 1)
+        busy = backend.query_rollup("busy", "cpu")
+        assert np.any(busy.counts > 1)
+        assert busy.total_samples() == 100
+        backend.close()
+
+    def test_retention_drops_rollup_buckets_too(self, tmp_path):
+        backend = SqliteBackend(tmp_path / "x.db",
+                                schedule="10s:full,inf:5s")
+        backend.write("web", "cpu", [float(i) for i in range(100)],
+                      [1.0] * 100)
+        backend.trim()
+        stats = backend.trim(retention=30.0)
+        # newest 99 -> rows (raw or bucket) before t=69 go.
+        rolled = backend.query_rollup("web", "cpu")
+        assert rolled.times[0] >= 69.0
+        assert stats["points_deleted"] > 0
+        assert rolled.total_samples() == 100 - 70
+        backend.close()
+
+    def test_trim_stats_account_for_stored_rows(self, tmp_path):
+        backend = SqliteBackend(tmp_path / "x.db",
+                                schedule="20s:full,60s:5s,120s:10s")
+        for comp in ("web", "db"):
+            backend.write(comp, "cpu", np.arange(0.0, 300.0, 0.5),
+                          np.arange(600.0))
+        before = backend.sample_count()
+        stats = backend.trim()
+        # Every rolled point leaves as one row, every bucket arrives as
+        # one; rows past the final horizon are dropped outright.
+        assert stats["points_rolled"] > 0 and stats["points_deleted"] > 0
+        assert backend.sample_count() == (
+            before - stats["points_rolled"] - stats["points_deleted"]
+            + stats["rollup_buckets_written"])
+        backend.close()
+
     def test_memory_backend_compact_is_noop(self):
         backend = MemoryBackend()
         backend.write("web", "cpu", [0.0], [1.0])
@@ -1044,6 +1103,30 @@ class TestSqliteTrim:
 
 
 class TestSessionCompact:
+    def test_directory_storage_path_is_refused(self, tmp_path):
+        target = tmp_path / "keep"
+        target.mkdir()
+        (target / "notes.txt").write_text("precious")
+        spec = _stream_spec(duration=20.0,
+                            storage=StorageSpec("sqlite", str(target)))
+        with pytest.raises(ValueError, match="is a directory"):
+            build_pipeline(spec)
+        assert [p.name for p in target.iterdir()] == ["notes.txt"]
+        assert (target / "notes.txt").read_text() == "precious"
+
+    @pytest.mark.parametrize("option", ["hot_points",
+                                        "compact_min_points"])
+    def test_removed_spill_options_fail_at_build(self, tmp_path, option):
+        # The spill store's tuning options have no sqlite meaning: a
+        # spec still carrying one fails before any store is created.
+        store = tmp_path / "s.db"
+        spec = _stream_spec(duration=20.0,
+                            storage=StorageSpec("sqlite", str(store),
+                                                options={option: 8}))
+        with pytest.raises(TypeError, match=option):
+            build_pipeline(spec)
+        assert not store.exists()
+
     def test_stream_session_compact_trims_store(self, tmp_path):
         spec = _stream_spec(
             duration=50.0,

@@ -91,10 +91,14 @@ def _chain_app(shift_backend=False):
 def _backend(kind, tmp_path):
     if kind == "memory":
         return MemoryBackend()
+    if kind == "sqlite-autocommit":
+        # Every write crosses the group-commit boundary, so reads see
+        # committed rows rather than the writer's open transaction.
+        return SqliteBackend(tmp_path / "points.db", commit_every=1)
     return SqliteBackend(tmp_path / "points.db")
 
 
-BACKENDS = ("memory", "sqlite")
+BACKENDS = ("memory", "sqlite", "sqlite-autocommit")
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +189,41 @@ class TestDurability:
         assert reopened.sample_count() == 2
         assert reopened.metadata()["seed"] == 7
         assert reopened.query("web", "cpu").values.tolist() == [1.0, 2.0]
+
+    def test_sqlite_rejects_out_of_order(self, tmp_path):
+        backend = SqliteBackend(tmp_path / "points.db")
+        backend.write("web", "cpu", [5.0, 6.0], [1.0, 2.0])
+        # The guard covers rows still pending in the open transaction.
+        with pytest.raises(ValueError, match="out-of-order"):
+            backend.write("web", "cpu", [4.0], [1.0])
+        # Another series keeps its own tail.
+        backend.write("db", "cpu", [1.0], [1.0])
+        backend.write("web", "cpu", [6.0, 7.0], [3.0, 4.0])
+        assert backend.query("web", "cpu").times.tolist() \
+            == [5.0, 6.0, 6.0, 7.0]
+        backend.close()
+
+    def test_sqlite_trimmed_store_reopens(self, tmp_path):
+        path = tmp_path / "points.db"
+        schedule = "10s:full,inf:5s"
+        backend = SqliteBackend(path, schedule=schedule)
+        t = np.arange(0.0, 60.0, 0.5)
+        backend.write("web", "cpu", t, np.sin(t))
+        assert backend.trim()["points_rolled"] > 0
+        reference = backend.query_rollup("web", "cpu")
+        backend.close()
+        reopened = SqliteBackend(path, schedule=schedule)
+        restored = reopened.query_rollup("web", "cpu")
+        assert np.array_equal(restored.times, reference.times)
+        assert np.array_equal(restored.means, reference.means)
+        assert np.array_equal(restored.counts, reference.counts)
+        assert restored.total_samples() == t.size
+        # The ordering guard survives the migration and the reopen.
+        with pytest.raises(ValueError, match="out-of-order"):
+            reopened.write("web", "cpu", [0.0], [0.0])
+        reopened.write("web", "cpu", [60.0], [1.0])
+        assert reopened.newest_time("web", "cpu") == 60.0
+        reopened.close()
 
     def test_backend_registry_dispatch(self, tmp_path):
         create = registry.BACKENDS.create
@@ -1292,6 +1331,44 @@ class TestCLIPersistence:
         assert [p.name for p in target.iterdir()] == ["notes.txt"]
         assert (target / "notes.txt").read_text() == "precious"
 
+    def test_resume_refuses_directory_store(self, tmp_path, capsys):
+        from repro.cli import main
+
+        base = ["stream", "--duration", "25", "--window", "10",
+                "--workload", "constant",
+                "--journal", str(tmp_path / "j.log"),
+                "--checkpoint", str(tmp_path / "c.json")]
+        assert main(base + ["--store", str(tmp_path / "s.db")]) == 0
+        capsys.readouterr()
+        # A resume that names a directory as its store stops at the
+        # open; the journal and checkpoint it would resume from stay.
+        target = tmp_path / "keep"
+        target.mkdir()
+        (target / "notes.txt").write_text("precious")
+        assert main(base + ["--resume", "--store", str(target)]) == 2
+        assert "is a directory" in capsys.readouterr().err
+        assert [p.name for p in target.iterdir()] == ["notes.txt"]
+        assert (tmp_path / "c.json").exists()
+
+    def test_fresh_record_clears_stale_wal_sidecars(self, tmp_path):
+        from repro.cli import main
+
+        db = tmp_path / "run.db"
+        args = ["record", "--out", str(db), "--duration", "8",
+                "--workload", "constant"]
+        assert main(args) == 0
+        clean = SqliteBackend(db).sample_count()
+        # Sidecars left by a killed writer belong to the old database;
+        # a fresh recording must not inherit (or replay) them.
+        for suffix in ("-wal", "-shm"):
+            Path(str(db) + suffix).write_bytes(b"stale" * 64)
+        assert main(args) == 0
+        for suffix in ("-wal", "-shm"):
+            sidecar = Path(str(db) + suffix)
+            assert not sidecar.exists() \
+                or not sidecar.read_bytes().startswith(b"stale")
+        assert SqliteBackend(db).sample_count() == clean
+
     @pytest.mark.parametrize("argv", [
         ["stream", "--store", "s.db", "--store-backend", "spill"],
         ["record", "--out", "r.db", "--backend", "spill"],
@@ -1384,6 +1461,58 @@ class TestTieredCompactionCrash:
             assert np.all(np.diff(rolled.times) > 0)
         assert reopened.trim()["points_rolled"] == 0
         reopened.close()
+
+
+    def test_sigkill_before_vacuum_keeps_committed_migration(self,
+                                                              tmp_path):
+        """A SIGKILL after the migration committed but before ``VACUUM``
+        ran leaves the migrated view: reopened, the store equals a
+        cleanly trimmed copy and a retried trim rolls nothing."""
+        import subprocess
+        import sys
+
+        store = tmp_path / "store.db"
+        clean = tmp_path / "clean.db"
+        t, raw = _tiered_fill(store)
+        _tiered_fill(clean)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        script = (
+            "import os, signal\n"
+            "import repro.persistence.sqlite_backend as sb\n"
+            "class Conn:\n"
+            "    def __init__(self, conn):\n"
+            "        self._conn = conn\n"
+            "    def __getattr__(self, name):\n"
+            "        return getattr(self._conn, name)\n"
+            "    def execute(self, sql, *args):\n"
+            "        if sql == 'VACUUM':\n"
+            "            os.kill(os.getpid(), signal.SIGKILL)\n"
+            "        return self._conn.execute(sql, *args)\n"
+            f"backend = sb.SqliteBackend({str(store)!r},\n"
+            f"                           schedule={_TIER_SCHEDULE!r})\n"
+            "backend._conn = Conn(backend._conn)\n"
+            "backend.trim()\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+        )
+        assert proc.returncode == -signal.SIGKILL, proc.stderr.decode()
+
+        reference = SqliteBackend(clean, schedule=_TIER_SCHEDULE)
+        assert reference.trim()["points_rolled"] > 0
+        reopened = SqliteBackend(store, schedule=_TIER_SCHEDULE)
+        for key in raw:
+            want = reference.query_rollup(*key)
+            got = reopened.query_rollup(*key)
+            assert got.total_samples() == t.size
+            assert np.array_equal(got.times, want.times)
+            assert np.array_equal(got.means, want.means)
+            assert np.array_equal(got.counts, want.counts)
+        assert reopened.trim()["points_rolled"] == 0
+        reopened.close()
+        reference.close()
 
 
 class TestResumeAcrossRollupBoundary:

@@ -480,6 +480,109 @@ class TestBackendTieredRetention:
         backend.close()
 
 
+def _fill_trimming(backend, *, series=("web", "db"), cadence=0.5,
+                   span=10_000.0, batch=2000):
+    """:func:`_fill`'s stream, interleaved across series with a
+    ``trim`` after every batch -- a store compacted while it ingests."""
+    t = np.arange(0.0, span, cadence)
+    raw = {}
+    for i, comp in enumerate(series):
+        rng = np.random.default_rng(100 + i)
+        raw[(comp, "cpu")] = (t, np.cumsum(rng.standard_normal(t.size))
+                              + 50.0 * i)
+    rolled = 0
+    for lo in range(0, t.size, batch):
+        for (comp, metric), (_, v) in raw.items():
+            backend.write(comp, metric, t[lo:lo + batch],
+                          v[lo:lo + batch])
+        rolled += backend.trim()["points_rolled"]
+    assert rolled, "no trim migrated anything"
+    return raw
+
+
+class TestTrimDuringIngest:
+    """Trims interleaved with ingest (a session compacting on its
+    policy) end where one trim after the whole stream does."""
+
+    def _pair(self, tmp_path, schedule=CANONICAL, **fill):
+        once = _make_backend("sqlite", tmp_path, schedule, name="once")
+        raw = _fill(once, **fill)
+        once.trim()
+        during = _make_backend("sqlite", tmp_path, schedule,
+                               name="during")
+        _fill_trimming(during, **fill)
+        during.trim()
+        return raw, once, during
+
+    def test_rollups_match_one_final_trim(self, tmp_path):
+        raw, once, during = self._pair(tmp_path)
+        for key in raw:
+            want = once.query_rollup(*key)
+            got = during.query_rollup(*key)
+            assert np.array_equal(got.times, want.times)
+            assert np.array_equal(got.counts, want.counts)
+            assert np.array_equal(got.mins, want.mins)
+            assert np.array_equal(got.maxs, want.maxs)
+            # Re-rolled means differ from direct ones only by rounding.
+            np.testing.assert_allclose(got.means, want.means, rtol=1e-12)
+        once.close()
+        during.close()
+
+    def test_no_lost_or_double_counted_samples(self, tmp_path):
+        raw, once, during = self._pair(tmp_path)
+        for key, (t, _) in raw.items():
+            rolled = during.query_rollup(*key)
+            assert rolled.total_samples() == t.size
+            assert np.all(np.diff(rolled.times) > 0)
+        assert during.trim()["points_rolled"] == 0
+        once.close()
+        during.close()
+
+    def test_hot_horizon_reads_bit_identical(self, tmp_path):
+        raw, once, during = self._pair(tmp_path)
+        for key, (t, v) in raw.items():
+            newest = t[-1]
+            got = during.query(*key, newest - 1000.0, newest)
+            hot = t >= newest - 1000.0
+            assert np.array_equal(got.times, t[hot])
+            assert np.array_equal(got.values, v[hot])
+        once.close()
+        during.close()
+
+    def test_finite_horizon_matches_one_final_trim(self, tmp_path):
+        sched = "100s:full,400s:10s,800s:40s"
+        raw, once, during = self._pair(tmp_path, sched, span=2000.0,
+                                       batch=100)
+        drop = RetentionSchedule.parse(sched).drop_cutoff(
+            max(t[-1] for t, _ in raw.values()))
+        for key, (t, _) in raw.items():
+            want = once.query_rollup(*key)
+            got = during.query_rollup(*key)
+            assert np.array_equal(got.times, want.times)
+            assert np.array_equal(got.counts, want.counts)
+            assert got.total_samples() == int(np.sum(t >= drop))
+        once.close()
+        during.close()
+
+    def test_reopen_between_trims_keeps_ordering_guard(self, tmp_path):
+        t = np.arange(0.0, 3000.0, 1.0)
+        for lo in range(0, t.size, 500):
+            # A fresh process per batch: the guard and the schedule's
+            # anchor are rebuilt from what the last trim left on disk.
+            backend = _make_backend("sqlite", tmp_path, CANONICAL)
+            if lo:
+                with pytest.raises(ValueError, match="out-of-order"):
+                    backend.write("web", "cpu", [t[lo] - 10.0], [0.0])
+            backend.write("web", "cpu", t[lo:lo + 500], t[lo:lo + 500])
+            backend.trim()
+            backend.close()
+        reopened = _make_backend("sqlite", tmp_path, CANONICAL)
+        rolled = reopened.query_rollup("web", "cpu")
+        assert rolled.total_samples() == t.size
+        assert reopened.newest_time("web", "cpu") == t[-1]
+        reopened.close()
+
+
 class TestRollupFallbacks:
     def test_memory_backend_serves_count_one_rollups(self):
         backend = MemoryBackend()
@@ -640,3 +743,17 @@ class TestFootprintAcceptance:
         reduced = (tmp_path / "tiered.db").stat().st_size
         assert reduced * 5 <= full, \
             f"footprint only {full / reduced:.1f}x smaller"
+
+    def test_trim_shrinks_open_store_footprint(self, tmp_path):
+        # An open store: the vacuumed copy must not linger in the
+        # -wal sidecar until close, so disk_bytes falls at trim time.
+        tiered = _make_backend("sqlite", tmp_path, CANONICAL,
+                               name="tiered")
+        _fill(tiered, span=20_000.0)
+        before = tiered.disk_bytes()
+        tiered.trim()
+        assert tiered.disk_bytes() * 5 <= before, \
+            f"open footprint only {before / tiered.disk_bytes():.1f}x"
+        wal = tmp_path / "tiered.db-wal"
+        assert not wal.exists() or wal.stat().st_size == 0
+        tiered.close()
